@@ -1,7 +1,8 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§VI–§VII), plus microbenchmarks for the per-step costs the
 // paper reports in §VII-E. Each experiment benchmark runs the corresponding
-// internal/experiments entry point at the Small scale and reports the
+// internal/experiments entry point at the Small scale inside its timed
+// loop — ns/op is the wall time of one whole experiment — and reports the
 // headline numbers as custom metrics, so
 //
 //	go test -bench=. -benchmem
@@ -27,8 +28,8 @@ import (
 	"github.com/maya-defense/maya/internal/workload"
 )
 
-// benchScale keeps experiment benchmarks tractable: each runs once per
-// bench invocation (b.N loops re-use the cached result).
+// benchScale keeps experiment benchmarks tractable: most take seconds per
+// run at this scale, so the default -benchtime runs each only a few times.
 func benchScale() experiments.Scale {
 	sc := experiments.Small()
 	sc.RunsPerClass = 30
@@ -53,16 +54,18 @@ func benchDesign(b *testing.B) *core.Design {
 	return sys1Design
 }
 
-// runOnce executes fn a single time (outside the timed loop) and lets the
-// b.N loop spin on the cached result, so the benchmark's wall time reflects
-// the experiment cost once while remaining stable.
-func runOnce[T any](b *testing.B, fn func() (T, error)) T {
+// run executes the experiment b.N times inside the timed loop and returns
+// the last result, whose headline numbers the caller reports as custom
+// metrics. ns/op is therefore the cost of one whole experiment.
+func run[T any](b *testing.B, fn func() (T, error)) T {
 	b.Helper()
-	v, err := fn()
-	if err != nil {
-		b.Fatal(err)
+	var v T
+	for i := 0; i < b.N; i++ {
+		var err error
+		if v, err = fn(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ResetTimer()
 	return v
 }
 
@@ -70,12 +73,9 @@ func runOnce[T any](b *testing.B, fn func() (T, error)) T {
 // Per-figure experiment benchmarks.
 
 func BenchmarkFig03_NaiveVsFormal(b *testing.B) {
-	r := runOnce(b, func() (*experiments.Fig3Result, error) {
+	r := run(b, func() (*experiments.Fig3Result, error) {
 		return experiments.Fig3(sim.Sys1(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.FormalRMSE
-	}
 	b.ReportMetric(r.NaiveRMSE, "naive-RMSE-W")
 	b.ReportMetric(r.FormalRMSE, "formal-RMSE-W")
 	b.ReportMetric(r.NaiveLeakCorr, "naive-leak-corr")
@@ -96,12 +96,9 @@ func BenchmarkFig04_Masks(b *testing.B) {
 }
 
 func BenchmarkTable01_ControllerResponse(b *testing.B) {
-	r := runOnce(b, func() (*experiments.TableIResult, error) {
+	r := run(b, func() (*experiments.TableIResult, error) {
 		return experiments.TableI(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.TotalStepNanos
-	}
 	b.ReportMetric(float64(r.TotalStepNanos), "maya-step-ns")
 	b.ReportMetric(float64(r.ControllerDim), "controller-dim")
 	b.ReportMetric(float64(r.StorageBytes), "storage-bytes")
@@ -110,12 +107,9 @@ func BenchmarkTable01_ControllerResponse(b *testing.B) {
 func BenchmarkFig06_AppDetection(b *testing.B) {
 	sc := benchScale()
 	sc.RunsPerClass = 60
-	r := runOnce(b, func() (*experiments.AttackResult, error) {
+	r := run(b, func() (*experiments.AttackResult, error) {
 		return experiments.Fig6(context.Background(), sc, 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.Outcomes
-	}
 	b.ReportMetric(r.Outcomes[0].Accuracy, "random-inputs-acc")
 	b.ReportMetric(r.Outcomes[1].Accuracy, "maya-constant-acc")
 	b.ReportMetric(r.Outcomes[2].Accuracy, "maya-gs-acc")
@@ -123,23 +117,17 @@ func BenchmarkFig06_AppDetection(b *testing.B) {
 }
 
 func BenchmarkFig07_SummaryStats(b *testing.B) {
-	r := runOnce(b, func() (*experiments.Fig7Result, error) {
+	r := run(b, func() (*experiments.Fig7Result, error) {
 		return experiments.Fig7(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.MedianSpread
-	}
 	b.ReportMetric(r.MedianSpread[0], "noisy-median-spread-W")
 	b.ReportMetric(r.MedianSpread[3], "gs-median-spread-W")
 }
 
 func BenchmarkFig08_VideoDetection(b *testing.B) {
-	r := runOnce(b, func() (*experiments.AttackResult, error) {
+	r := run(b, func() (*experiments.AttackResult, error) {
 		return experiments.Fig8(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.Outcomes
-	}
 	b.ReportMetric(r.Outcomes[0].Accuracy, "random-inputs-acc")
 	b.ReportMetric(r.Outcomes[1].Accuracy, "maya-constant-acc")
 	b.ReportMetric(r.Outcomes[2].Accuracy, "maya-gs-acc")
@@ -147,12 +135,9 @@ func BenchmarkFig08_VideoDetection(b *testing.B) {
 }
 
 func BenchmarkFig09_WebpageDetection(b *testing.B) {
-	r := runOnce(b, func() (*experiments.AttackResult, error) {
+	r := run(b, func() (*experiments.AttackResult, error) {
 		return experiments.Fig9(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.Outcomes
-	}
 	b.ReportMetric(r.Outcomes[0].Accuracy, "random-inputs-acc")
 	b.ReportMetric(r.Outcomes[1].Accuracy, "maya-constant-acc")
 	b.ReportMetric(r.Outcomes[2].Accuracy, "maya-gs-acc")
@@ -160,24 +145,18 @@ func BenchmarkFig09_WebpageDetection(b *testing.B) {
 }
 
 func BenchmarkFig10_AveragedTraces(b *testing.B) {
-	r := runOnce(b, func() (*experiments.Fig10Result, error) {
+	r := run(b, func() (*experiments.Fig10Result, error) {
 		return experiments.Fig10(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.MeanSpread
-	}
 	b.ReportMetric(r.MeanSpread[0], "noisy-mean-spread-W")
 	b.ReportMetric(r.MeanSpread[3], "gs-mean-spread-W")
 	b.ReportMetric(r.Distinctness[3], "gs-distinctness-W")
 }
 
 func BenchmarkFig11_ChangePoints(b *testing.B) {
-	r := runOnce(b, func() (*experiments.Fig11Result, error) {
+	r := run(b, func() (*experiments.Fig11Result, error) {
 		return experiments.Fig11(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.MatchScore
-	}
 	b.ReportMetric(r.MatchScore[0], "noisy-phase-match")
 	b.ReportMetric(r.MatchScore[2], "constant-phase-match")
 	b.ReportMetric(r.MatchScore[3], "gs-phase-match")
@@ -186,24 +165,18 @@ func BenchmarkFig11_ChangePoints(b *testing.B) {
 func BenchmarkFig12_SamplingSweep(b *testing.B) {
 	sc := benchScale()
 	sc.RunsPerClass = 15
-	r := runOnce(b, func() (*experiments.Fig12Result, error) {
+	r := run(b, func() (*experiments.Fig12Result, error) {
 		return experiments.Fig12(context.Background(), sc, 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.Accuracy
-	}
 	b.ReportMetric(r.Accuracy[0], "gs-acc-at-2ms")
 	b.ReportMetric(r.Accuracy[3], "gs-acc-at-20ms")
 	b.ReportMetric(r.Chance, "chance")
 }
 
 func BenchmarkFig13_Tracking(b *testing.B) {
-	r := runOnce(b, func() (*experiments.Fig13Result, error) {
+	r := run(b, func() (*experiments.Fig13Result, error) {
 		return experiments.Fig13(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.TrackingMAD
-	}
 	worst := 0.0
 	for _, m := range r.TrackingMAD {
 		if m > worst {
@@ -215,12 +188,9 @@ func BenchmarkFig13_Tracking(b *testing.B) {
 }
 
 func BenchmarkFig14_Overheads(b *testing.B) {
-	r := runOnce(b, func() (*experiments.Fig14Result, error) {
+	r := run(b, func() (*experiments.Fig14Result, error) {
 		return experiments.Fig14(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.Defenses
-	}
 	gs := r.Defenses[3]
 	b.ReportMetric(gs.AvgPower, "gs-norm-power")
 	b.ReportMetric(gs.AvgTime, "gs-norm-time")
@@ -229,12 +199,9 @@ func BenchmarkFig14_Overheads(b *testing.B) {
 }
 
 func BenchmarkFig15_Platypus(b *testing.B) {
-	r := runOnce(b, func() (*experiments.Fig15Result, error) {
+	r := run(b, func() (*experiments.Fig15Result, error) {
 		return experiments.Fig15(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.BaselineSeparation
-	}
 	b.ReportMetric(r.BaselineSeparation, "baseline-separation")
 	b.ReportMetric(r.MayaSeparation, "gs-separation")
 }
@@ -242,34 +209,25 @@ func BenchmarkFig15_Platypus(b *testing.B) {
 func BenchmarkDTWSeparation(b *testing.B) {
 	sc := benchScale()
 	sc.RunsPerClass = 10
-	r := runOnce(b, func() (*experiments.DTWResult, error) {
+	r := run(b, func() (*experiments.DTWResult, error) {
 		return experiments.DTWAnalysis(context.Background(), sc, 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.BaselineAccuracy
-	}
 	b.ReportMetric(r.BaselineAccuracy, "dtw-baseline-acc")
 	b.ReportMetric(r.MayaGSAccuracy, "dtw-gs-acc")
 }
 
 func BenchmarkCovertChannel(b *testing.B) {
-	r := runOnce(b, func() (*experiments.CovertResult, error) {
+	r := run(b, func() (*experiments.CovertResult, error) {
 		return experiments.CovertChannel(benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.MayaBER
-	}
 	b.ReportMetric(r.BaselineBER, "baseline-BER")
 	b.ReportMetric(r.MayaBER, "gs-BER")
 }
 
 func BenchmarkThermalChannel(b *testing.B) {
-	r := runOnce(b, func() (*experiments.ThermalResult, error) {
+	r := run(b, func() (*experiments.ThermalResult, error) {
 		return experiments.Thermal(benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.MayaSpread
-	}
 	b.ReportMetric(r.BaselineSpread, "baseline-temp-spread-C")
 	b.ReportMetric(r.MayaSpread, "gs-temp-spread-C")
 }
@@ -280,46 +238,34 @@ func BenchmarkThermalChannel(b *testing.B) {
 func BenchmarkAblationMasks(b *testing.B) {
 	sc := benchScale()
 	sc.RunsPerClass = 20
-	r := runOnce(b, func() (*experiments.MaskAblationResult, error) {
+	r := run(b, func() (*experiments.MaskAblationResult, error) {
 		return experiments.AblationMasks(context.Background(), sc, 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.Accuracy
-	}
 	b.ReportMetric(r.Accuracy[0], "constant-acc")
 	b.ReportMetric(r.Accuracy[4], "gaussian-sinusoid-acc")
 }
 
 func BenchmarkAblationGuardband(b *testing.B) {
-	r := runOnce(b, func() (*experiments.GuardbandAblationResult, error) {
+	r := run(b, func() (*experiments.GuardbandAblationResult, error) {
 		return experiments.AblationGuardband(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.TrackingMAD
-	}
 	b.ReportMetric(r.TrackingMAD[0], "gb0-MAD-W")
 	b.ReportMetric(r.TrackingMAD[2], "gb40-MAD-W")
 	b.ReportMetric(r.TrackingMAD[len(r.TrackingMAD)-1], "gb160-MAD-W")
 }
 
 func BenchmarkAblationActuators(b *testing.B) {
-	r := runOnce(b, func() (*experiments.ActuatorAblationResult, error) {
+	r := run(b, func() (*experiments.ActuatorAblationResult, error) {
 		return experiments.AblationActuators(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.TrackingMAD
-	}
 	b.ReportMetric(r.TrackingMAD[0], "dvfs-only-MAD-W")
 	b.ReportMetric(r.TrackingMAD[len(r.TrackingMAD)-1], "all-three-MAD-W")
 }
 
 func BenchmarkAblationNhold(b *testing.B) {
-	r := runOnce(b, func() (*experiments.NholdAblationResult, error) {
+	r := run(b, func() (*experiments.NholdAblationResult, error) {
 		return experiments.AblationNhold(context.Background(), benchScale(), 1)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.Peaks
-	}
 	b.ReportMetric(r.Peaks[1], "paper-range-peaks")
 	b.ReportMetric(r.MeanChange[1], "paper-range-mean-change")
 	b.ReportMetric(r.TrackingMAD[1], "paper-range-MAD-W")
@@ -327,12 +273,9 @@ func BenchmarkAblationNhold(b *testing.B) {
 
 func BenchmarkAblationController(b *testing.B) {
 	// Formal vs naive at constant target — the Fig 3 contrast as a metric.
-	r := runOnce(b, func() (*experiments.Fig3Result, error) {
+	r := run(b, func() (*experiments.Fig3Result, error) {
 		return experiments.Fig3(sim.Sys1(), benchScale(), 7)
 	})
-	for i := 0; i < b.N; i++ {
-		_ = r.FormalRMSE
-	}
 	b.ReportMetric(r.NaiveRMSE/r.FormalRMSE, "naive-over-formal-RMSE")
 }
 

@@ -29,9 +29,10 @@ type fleetOpts struct {
 	showMetrics bool
 }
 
-// runFleet drives -fleet N: the batched engine steps N co-resident tenants
-// — each the bit-exact equivalent of an independent scalar run with seeds
-// derived from (seed, tenant index) — and reports a per-tenant summary.
+// runFleet drives -fleet N: the fleet engine steps N co-resident tenants in
+// lockstep — each the bit-exact equivalent of an independent scalar run
+// with seeds derived from (seed, tenant index) — and reports a per-tenant
+// summary.
 // -csv writes one file with a tenant column; -flight writes every tenant's
 // flight trace (Maya designs) separated by `# tenant N` header lines.
 func runFleet(o fleetOpts) error {
@@ -84,7 +85,7 @@ func runFleet(o fleetOpts) error {
 	fmt.Printf("machine:   %s (%d cores, %.1f–%.1f GHz, TDP %.0f W)\n",
 		o.cfg.Name, o.cfg.Cores, o.cfg.FminGHz, o.cfg.FmaxGHz, o.cfg.TDP)
 	fmt.Printf("defense:   %s\n", o.kind)
-	fmt.Printf("workload:  %s (scale %.2f) x %d tenants, batched\n", o.workload, o.scale, o.tenants)
+	fmt.Printf("workload:  %s (scale %.2f) x %d tenants\n", o.workload, o.scale, o.tenants)
 	fmt.Printf("duration:  %.1f s simulated per tenant\n", results[0].Seconds)
 	fmt.Printf("%-7s %10s %8s %10s %8s %10s  %s\n",
 		"tenant", "energy_j", "avg_w", "median_w", "iqr_w", "finished", "faults")

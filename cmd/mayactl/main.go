@@ -31,8 +31,8 @@
 // extensions (.csv, .json, .bin/.mayt). CSV inputs need no side-channel
 // class table — it is rebuilt from the rows.
 //
-// -fleet N steps N co-resident tenants through the batched fleet engine
-// (internal/fleet) instead of the scalar path: each tenant runs its own
+// -fleet N steps N co-resident tenants in lockstep through the fleet engine
+// (internal/fleet) instead of running one: each tenant runs its own
 // machine, workload, and defense instance with seeds derived from (seed,
 // tenant index), and the output is a per-tenant summary table. -csv then
 // carries a leading tenant column, and -flight concatenates every tenant's
@@ -120,7 +120,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "trace every N-th control tick's phase breakdown (1 = all)")
 	traceSummary := flag.String("trace-summary", "", "aggregate a trace file into a per-phase attribution table and exit")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address during the run")
-	fleetN := flag.Int("fleet", 0, "run N independent tenants through the batched fleet engine (0 = scalar single-tenant path)")
+	fleetN := flag.Int("fleet", 0, "run N independent tenants in lockstep through the fleet engine (0 = single-tenant path)")
 	flag.Parse()
 
 	if *traceSummary != "" {

@@ -51,54 +51,6 @@ func (k Knob) Quantize(v float64) float64 {
 	return q
 }
 
-// QuantizeSlab is Quantize applied element-wise across a tenant slab: the
-// fleet engine's batched actuator commit. Each element runs the exact
-// arithmetic of Quantize, so dst[i] is bit-identical to Quantize(src[i]).
-// dst and src may alias; they must have equal length.
-//
-//maya:hotpath
-func (k Knob) QuantizeSlab(dst, src []float64) {
-	checkSlabLens(len(dst) == len(src))
-	if k.Step == 0 { //nolint:maya/floateq Step==0 is the unquantized-knob sentinel, set exactly
-		for i, v := range src {
-			if v < k.Min {
-				v = k.Min
-			}
-			if v > k.Max {
-				v = k.Max
-			}
-			dst[i] = v
-		}
-		return
-	}
-	for i, v := range src {
-		if v < k.Min {
-			v = k.Min
-		}
-		if v > k.Max {
-			v = k.Max
-		}
-		n := math.Round((v - k.Min) / k.Step)
-		q := k.Min + n*k.Step
-		if q > k.Max {
-			q -= k.Step
-		}
-		if q < k.Min {
-			q = k.Min
-		}
-		dst[i] = q
-	}
-}
-
-// checkSlabLens panics when the QuantizeSlab destination does not match the
-// source length. It lives outside the slab kernel so the panic's string
-// boxing stays off the //maya:hotpath allocation budget.
-func checkSlabLens(ok bool) {
-	if !ok {
-		panic("actuator: QuantizeSlab length mismatch")
-	}
-}
-
 // Levels returns the number of legal settings.
 func (k Knob) Levels() int {
 	if k.Step == 0 { //nolint:maya/floateq Step==0 is the unquantized-knob sentinel, set exactly

@@ -181,9 +181,9 @@ func (e *Engine) Reset(seed uint64) {
 
 // StepPre carries the pre-controller half of one engine step from BeginStep
 // to FinishStep: the mask components, the guard's verdict on the raw
-// reading, and the tracking error the controller must consume. The fleet
-// engine batches the controller step between the two halves; the scalar
-// Decide runs them back to back.
+// reading, and the tracking error the controller must consume. Decide runs
+// the two halves back to back around the controller step; splitting them
+// lets a caller time the mask, control and actuation phases separately.
 type StepPre struct {
 	// Target is the closed-loop mask component issued this step.
 	Target float64
@@ -211,8 +211,7 @@ type StepPre struct {
 // BeginStep runs the pre-controller phases of one engine step: mask draw,
 // dither draw, target bookkeeping, and the measurement guard. The caller
 // must follow with exactly one controller step on pre.DeltaY and one
-// FinishStep; Decide composes the three for the scalar path, the fleet
-// engine interposes a batched controller step.
+// FinishStep; Decide composes the three.
 //
 //maya:hotpath
 func (e *Engine) BeginStep(step int, powerW float64) StepPre {
@@ -257,13 +256,11 @@ func (e *Engine) BeginStep(step int, powerW float64) StepPre {
 
 // FinishStep runs the post-controller phases of one engine step: blow-up
 // recovery, the NLMS dither-gain update, open-loop dither injection,
-// quantization dither, actuation, and telemetry. u is the controller's
-// output for pre.DeltaY and ctl is the state view of whichever controller
-// produced it — e.ctl on the scalar path, one tenant column of a
-// control.Bank on the fleet path.
+// quantization dither, actuation, and telemetry. u is the output of ctl —
+// the engine's own controller (see Controller) — for pre.DeltaY.
 //
 //maya:hotpath
-func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl control.StateView) sim.Inputs {
+func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl *control.Controller) sim.Inputs {
 	// Blow-up recovery: re-initialize the controller at the identified
 	// operating point when its state norm diverges (sustained saturation
 	// or fault bursts). The emitted u buffer survives Reset.
@@ -399,8 +396,8 @@ func (e *Engine) Decide(step int, powerW float64) sim.Inputs {
 	start := time.Now() //maya:wallclock overhead accounting (§VII-E); never feeds decisions
 	pre := e.BeginStep(step, powerW)
 	u := e.ctl.Step(pre.DeltaY)
-	in := e.FinishStep(step, pre, u, e.ctl) //nolint:maya/hotalloc StateView here wraps an existing pointer, which fits the interface word without allocating
-	e.DecideTime += time.Since(start)       //maya:wallclock overhead accounting (§VII-E)
+	in := e.FinishStep(step, pre, u, e.ctl)
+	e.DecideTime += time.Since(start) //maya:wallclock overhead accounting (§VII-E)
 	return in
 }
 

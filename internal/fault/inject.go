@@ -117,61 +117,20 @@ func (in *Injector) Stats() Stats { return in.stats }
 // SetMetrics attaches telemetry counters (nil detaches).
 func (in *Injector) SetMetrics(m *Metrics) { in.metrics = m }
 
-// MachineHooks is the fault-hook surface of a simulated machine: the three
-// seams the counter and actuator fault channels install into. *sim.Machine
-// satisfies it, and so does one tenant column of a sim.MachineBank
-// (*sim.BankMachine), which is how the fleet engine attaches per-tenant
-// plans without scalar machines.
-type MachineHooks interface {
-	SetInputFilter(sim.InputFilter)
-	SetLagScale(float64)
-	SetEnergyWrap(float64)
-}
-
 // Attach installs the plan's counter and actuator faults on the machine:
 // energy-counter wraparound, actuation lag scaling, and the SetInputs
 // filter for command drops and stuck knobs. An empty plan installs nothing.
-func (in *Injector) Attach(m *sim.Machine) { in.AttachHooks(m) }
-
-// AttachHooks is Attach over any MachineHooks implementation.
-func (in *Injector) AttachHooks(h MachineHooks) {
+func (in *Injector) Attach(m *sim.Machine) {
 	if in.plan.Counter.WrapJ > 0 {
-		h.SetEnergyWrap(in.plan.Counter.WrapJ)
+		m.SetEnergyWrap(in.plan.Counter.WrapJ)
 	}
 	if s := in.plan.Actuator.LagScale; s > 0 && s != 1 { //nolint:maya/floateq LagScale is an exact config value; 1 means disabled
-		h.SetLagScale(s)
+		m.SetLagScale(s)
 	}
 	a := in.plan.Actuator
 	if a.DropProb > 0 || a.StuckProb > 0 {
-		h.SetInputFilter(in.filterInputs)
+		m.SetInputFilter(in.filterInputs)
 	}
-}
-
-// TimingDecision draws the plan's timing faults for one control step and
-// returns the verdict: miss means the wakeup never happened (the caller
-// must hold the previous command and not run the policy), stale means the
-// policy runs on the previous period's sample. The draw order, stats, and
-// metrics are exactly FaultyPolicy.Decide's — at most one timing fault
-// fires per step, and step 0 never faults (there is no previous command to
-// hold yet). The fleet engine calls this directly where the scalar path
-// goes through the FaultyPolicy wrapper.
-func (in *Injector) TimingDecision(step int) (miss, stale bool) {
-	t := in.plan.Timing
-	if step > 0 && t.MissProb > 0 && in.timR.Bool(t.MissProb) {
-		in.stats.DeadlineMisses++
-		if in.metrics != nil {
-			in.metrics.TimingFaults.Inc()
-		}
-		return true, false
-	}
-	if step > 0 && t.StaleProb > 0 && in.timR.Bool(t.StaleProb) {
-		in.stats.StaleSamples++
-		if in.metrics != nil {
-			in.metrics.TimingFaults.Inc()
-		}
-		return false, true
-	}
-	return false, false
 }
 
 // filterInputs implements the actuator fault channel as a sim.InputFilter.
@@ -307,18 +266,28 @@ type FaultyPolicy struct {
 // Inner returns the wrapped policy (the engine, for telemetry access).
 func (p *FaultyPolicy) Inner() sim.Policy { return p.inner }
 
-// Decide implements sim.Policy.
+// Decide implements sim.Policy. At most one timing fault fires per step,
+// and step 0 never faults (there is no previous command to hold yet).
 func (p *FaultyPolicy) Decide(step int, powerW float64) sim.Inputs {
-	miss, stale := p.in.TimingDecision(step)
-	if miss {
+	t := p.in.plan.Timing
+	if step > 0 && t.MissProb > 0 && p.in.timR.Bool(t.MissProb) {
+		p.countTiming(&p.in.stats.DeadlineMisses)
 		p.prevPower = powerW
 		return p.prev
 	}
 	pw := powerW
-	if stale {
+	if step > 0 && t.StaleProb > 0 && p.in.timR.Bool(t.StaleProb) {
+		p.countTiming(&p.in.stats.StaleSamples)
 		pw = p.prevPower
 	}
 	p.prevPower = powerW
 	p.prev = p.inner.Decide(step, pw)
 	return p.prev
+}
+
+func (p *FaultyPolicy) countTiming(c *uint64) {
+	*c++
+	if p.in.metrics != nil {
+		p.in.metrics.TimingFaults.Inc()
+	}
 }

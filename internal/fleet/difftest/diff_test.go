@@ -8,15 +8,6 @@ import (
 	"github.com/maya-defense/maya/internal/sim"
 )
 
-func kitchenSink(t testing.TB) fault.Plan {
-	t.Helper()
-	p, ok := fault.PlanByName("kitchen-sink")
-	if !ok {
-		t.Fatal("kitchen-sink plan missing")
-	}
-	return p
-}
-
 // TestFleetMatchesScalar is the headline equivalence table: every defense
 // kind, tenant counts 1/2/16, short app workloads, warmup, flight
 // recorders, and guards — each case bit-compared tenant by tenant against
@@ -90,29 +81,6 @@ func TestFleetMatchesScalarUnderFaults(t *testing.T) {
 		}
 	}
 	for _, c := range cases {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			t.Parallel()
-			if err := Diff(c); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestFleetMatchesScalarLarge is the 1000-tenant acceptance case: short,
-// but every tenant bit-compared, with and without the kitchen-sink plan.
-func TestFleetMatchesScalarLarge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1000-tenant differential run skipped in -short mode")
-	}
-	cfg := sim.Sys1()
-	for _, c := range []Case{
-		{Name: "gs-1000", Config: cfg, Kind: defense.MayaGS, Tenants: 1000,
-			Ticks: 60, Seed: 0x1000, Scale: 0.02, Flight: 8, Guard: true},
-		{Name: "gs-1000-faulted", Config: cfg, Kind: defense.MayaGS, Tenants: 1000,
-			Ticks: 60, Seed: 0x1001, Plan: kitchenSink(t), Scale: 0.02, Flight: 8, Guard: true},
-	} {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()

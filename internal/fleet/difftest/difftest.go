@@ -1,13 +1,18 @@
-// Package difftest is the fleet engine's equivalence proof harness: for
-// any (machine config, defense kind, fault plan, seed, tenant count, tick
-// count) it runs the batched fleet and, per tenant, an independent scalar
-// core.Engine/sim.Run with the same derived seeds, and asserts the two
-// produce bit-for-bit identical traces, flight records, and guard
-// decisions. The scalar side is composed purely from the untouched
-// reference pieces (sim.Machine, sim.Run, fault wrappers), so a pass means
-// the batched kernels changed nothing but the speed — the same pinning
-// discipline as internal/nn's batch tests, extended to a whole closed-loop
-// system.
+// Package difftest is the fleet engine's equivalence harness: for any
+// (machine config, defense kind, fault plan, seed, tenant count, tick
+// count) it runs the lockstep fleet engine and, per tenant, an independent
+// sim.Run with the same derived seeds, and asserts the two produce
+// bit-for-bit identical traces, flight records, and guard decisions. Both
+// sides are built from the same scalar pieces (sim.Machine, core.Engine,
+// the fault wrappers), so a pass means the fleet's seed derivation, wiring,
+// phase order and incremental stepping change nothing a tenant can
+// observe.
+//
+// The harness once guarded a batched structure-of-arrays copy of the
+// machine model and controller; that copy was removed because it never won
+// end to end (45.5 ms against 40.1 ms scalar for 1,000 tenants, and the
+// daemon's banks average 1.01 tenants). The table tests and the fuzz
+// target now pin the lockstep driver against sim.Run.
 package difftest
 
 import (
@@ -162,7 +167,7 @@ func runScalar(c Case) ([]scalarTenant, error) {
 	return out, nil
 }
 
-// runBatched runs the whole case through the fleet engine.
+// runBatched runs the whole case through the fleet engine in lockstep.
 func runBatched(c Case) ([]fleet.TenantResult, error) {
 	var art *core.Design
 	if c.maya() {

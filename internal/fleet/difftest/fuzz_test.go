@@ -10,9 +10,9 @@ import (
 
 // FuzzFleetMatchesScalar randomizes the whole case space — seed, tenant
 // count, run length, defense kind, fault plan, workload scale, warmup —
-// and requires the batched trace to equal the scalar trace byte for byte.
-// Any divergence the table tests missed (an accumulation-order slip in a
-// kernel, a fault-stream draw out of order, an off-by-one at a period
+// and requires each fleet tenant's trace to equal its sim.Run trace byte for
+// byte. Any divergence the table tests missed (a fault-stream draw out of
+// order, a seed wired to the wrong piece, an off-by-one at a period
 // boundary) surfaces here as a one-line reproducer.
 func FuzzFleetMatchesScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint16(200), uint8(4), uint8(0), uint8(2), false)

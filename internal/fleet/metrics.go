@@ -14,14 +14,14 @@ import (
 type Metrics struct {
 	// Ticks counts machine ticks stepped, summed across tenants.
 	Ticks *telemetry.Counter
-	// Periods counts control periods (one batched decide each).
+	// Periods counts control periods (one decision per tenant each).
 	Periods *telemetry.Counter
 	// Tenants records the fleet size of the current run.
 	Tenants *telemetry.Gauge
 	// MachineNs, SenseNs, ControlNs, ActuateNs accumulate host wall time
-	// per fleet tick phase: the batched machine step, the per-tenant
-	// sensor reads, the batched control decision, and the batched
-	// actuator commit.
+	// per fleet tick phase: the machine steps, the sensor reads, the
+	// control decisions, and the actuator commits, each summed over
+	// tenants.
 	MachineNs *telemetry.Counter
 	SenseNs   *telemetry.Counter
 	ControlNs *telemetry.Counter
@@ -39,10 +39,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Ticks:     reg.Counter("maya_fleet_ticks_total", "machine ticks stepped across all tenants"),
 		Periods:   reg.Counter("maya_fleet_periods_total", "fleet control periods executed"),
 		Tenants:   reg.Gauge("maya_fleet_tenants", "tenant count of the current fleet run"),
-		MachineNs: reg.Counter("maya_fleet_machine_ns_total", "host ns in the batched machine step"),
-		SenseNs:   reg.Counter("maya_fleet_sense_ns_total", "host ns in per-tenant sensor reads"),
-		ControlNs: reg.Counter("maya_fleet_control_ns_total", "host ns in the batched control decision"),
-		ActuateNs: reg.Counter("maya_fleet_actuate_ns_total", "host ns in the batched actuator commit"),
+		MachineNs: reg.Counter("maya_fleet_machine_ns_total", "host ns in the machine steps"),
+		SenseNs:   reg.Counter("maya_fleet_sense_ns_total", "host ns in the sensor reads"),
+		ControlNs: reg.Counter("maya_fleet_control_ns_total", "host ns in the control decisions"),
+		ActuateNs: reg.Counter("maya_fleet_actuate_ns_total", "host ns in the actuator commits"),
 		SpillDropped: reg.Counter("maya_fleet_spill_dropped_total",
 			"spill samples discarded by drop-oldest because no reader drained"),
 	}

@@ -19,7 +19,8 @@ import (
 // telemetry registry. Under -race (the CI race job runs the whole tree)
 // this proves the engine's concurrency contract: the spill mutex and the
 // registry's internal synchronization are the only cross-goroutine seams,
-// and the state slabs never leak across them.
+// and the per-tenant state never leaks across them. The same run checks
+// the phase counters that fleet.Metrics exports.
 func TestFleetConcurrentObserver(t *testing.T) {
 	cfg := sim.Sys1()
 	art, err := difftest.DesignFor(cfg)
@@ -39,7 +40,8 @@ func TestFleetConcurrentObserver(t *testing.T) {
 		MaxTicks:    4000,
 	})
 	reg := telemetry.NewRegistry()
-	eng.SetMetrics(fleet.NewMetrics(reg))
+	met := fleet.NewMetrics(reg)
+	eng.SetMetrics(met)
 	spill := &fleet.Spill{}
 	eng.SetSpill(spill)
 
@@ -75,5 +77,24 @@ func TestFleetConcurrentObserver(t *testing.T) {
 	// periods, all drained between pushes or in the final sweep.
 	if want := 32 * (4000 / 20); drained != want {
 		t.Fatalf("drained %d samples, want %d", drained, want)
+	}
+	// The phase counters carry e2ebench's per-layer fleet breakdown: every
+	// tenant tick and control period is counted, and each phase took time.
+	if got, want := met.Ticks.Value(), uint64(32*4000); got != want {
+		t.Fatalf("Ticks = %d, want %d", got, want)
+	}
+	if got, want := met.Periods.Value(), uint64(4000/20); got != want {
+		t.Fatalf("Periods = %d, want %d", got, want)
+	}
+	for _, ph := range []struct {
+		name string
+		c    *telemetry.Counter
+	}{
+		{"MachineNs", met.MachineNs}, {"SenseNs", met.SenseNs},
+		{"ControlNs", met.ControlNs}, {"ActuateNs", met.ActuateNs},
+	} {
+		if ph.c.Value() == 0 {
+			t.Errorf("%s = 0 after a metered run", ph.name)
+		}
 	}
 }

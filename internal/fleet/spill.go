@@ -17,10 +17,10 @@ type Sample struct {
 // Spill is the fleet's only concurrent seam: a mutex-guarded buffer the
 // engine pushes one Sample per tenant into at every control period, for a
 // reader on another goroutine to Drain while the fleet runs. Everything
-// else in the engine — the state slabs, the flight recorders, the result
-// accumulators — is single-goroutine by design; the race test drives a
-// fleet and a draining reader together under -race to prove the slabs are
-// never shared mutably across that boundary.
+// else in the engine — the machines and policies, the flight recorders,
+// the result accumulators — is single-goroutine by design; the race test
+// drives a fleet and a draining reader together under -race to prove that
+// state is never shared mutably across that boundary.
 //
 // The zero value is unbounded: correct when a reader is guaranteed to
 // drain (tests, mayactl). A long-running daemon with *optional*

@@ -23,6 +23,7 @@ package mayad
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -235,10 +236,12 @@ func (sp TenantSpec) normalize() TenantSpec {
 	if sp.Seed == 0 {
 		sp.Seed = 1
 	}
-	if sp.Seconds <= 0 {
+	if sp.Seconds <= 0 && !math.IsInf(sp.Seconds, -1) { // resolve rejects -Inf
 		sp.Seconds = 20
 	}
-	if sp.MaxTicks <= 0 {
+	// A duration whose tick count does not fit an int (or is NaN) leaves
+	// MaxTicks at 0, which resolve rejects: converting it would wrap.
+	if sp.MaxTicks <= 0 && sp.Seconds*1000 < math.MaxInt {
 		sp.MaxTicks = int(sp.Seconds * 1000)
 	}
 	switch {
@@ -269,6 +272,12 @@ func (sp TenantSpec) resolve() (sim.Config, defense.Kind, fault.Plan, error) {
 		if !ok {
 			return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("unknown fault plan %q", sp.Faults)
 		}
+	}
+	if math.IsNaN(sp.Seconds) || math.IsInf(sp.Seconds, 0) {
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds must be finite, not %v", sp.Seconds)
+	}
+	if sp.MaxTicks <= 0 {
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds %g does not give a positive tick count that fits an int", sp.Seconds)
 	}
 	if sp.Flight && !kind.IsMaya() {
 		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("flight recording needs a Maya defense (constant or gs), not %q", sp.Defense)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -445,7 +446,8 @@ func TestSpillDrainStreams(t *testing.T) {
 }
 
 // TestBadSpecsRejected covers admission validation: unknown names 400,
-// malformed JSON 400, unknown tenant 404.
+// durations whose tick count overflows or is not finite 400, malformed
+// JSON 400, unknown tenant 404.
 func TestBadSpecsRejected(t *testing.T) {
 	srv := mayad.New(testConfig(1), nil)
 	srv.Start()
@@ -459,18 +461,28 @@ func TestBadSpecsRejected(t *testing.T) {
 		{Workload: "solitaire"},
 		{Faults: "gremlins"},
 		{Defense: "baseline", Flight: true},
+		{Seconds: 1e300},
 	} {
 		if resp, _ := admit(t, ts.URL, sp); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("spec %+v: status %d, want 400", sp, resp.StatusCode)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/tenants", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
+	// JSON cannot encode ±Inf or NaN, so those durations reach Admit only
+	// through the Go API; over HTTP they arrive as undecodable bodies.
+	for _, secs := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := srv.Admit(mayad.TenantSpec{Seconds: secs}); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Fatalf("seconds %v: err %v, want a finiteness rejection", secs, err)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: status %d, want 400", resp.StatusCode)
+	for _, body := range []string{"{nope", `{"seconds":NaN}`, `{"seconds":1e400}`} {
+		resp, err := http.Post(ts.URL+"/tenants", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed JSON %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 	if code, _ := get(t, ts.URL+"/tenants/99"); code != http.StatusNotFound {
 		t.Fatalf("unknown tenant: status %d, want 404", code)
