@@ -6,7 +6,6 @@ import (
 	"github.com/maya-defense/maya/internal/core"
 	"github.com/maya-defense/maya/internal/rng"
 	"github.com/maya-defense/maya/internal/runner"
-	"github.com/maya-defense/maya/internal/signal"
 	"github.com/maya-defense/maya/internal/sim"
 	"github.com/maya-defense/maya/internal/telemetry"
 	"github.com/maya-defense/maya/internal/trace"
@@ -248,7 +247,7 @@ func runOne(ctx context.Context, spec CollectSpec, label, run int) oneResult {
 			Label:     label,
 			Seconds:   seconds,
 			EnergyJ:   res.EnergyJ,
-			AvgPowerW: signal.Mean(res.TickPowerW),
+			AvgPowerW: res.AvgPowerW,
 			Finished:  res.FinishedTick >= 0,
 		},
 	}

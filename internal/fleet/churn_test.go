@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/maya-defense/maya/internal/core"
@@ -65,8 +66,8 @@ func TestFleetEvictMidRunLeavesSurvivorsIdentical(t *testing.T) {
 	for _, tn := range []int{0, 1, 3} {
 		assertTenantEqual(t, tn, churned[tn], full[tn])
 	}
-	if len(churned[2].DefenseSamples) != 0 || churned[2].Flight != nil {
-		t.Fatalf("evicted slot retained buffers: %d samples", len(churned[2].DefenseSamples))
+	if ev := churned[2]; len(ev.DefenseSamples) != 0 || ev.Flight != nil || ev.AvgPowerW != 0 {
+		t.Fatalf("evicted slot retained results: %d samples, mean power %v", len(ev.DefenseSamples), ev.AvgPowerW)
 	}
 }
 
@@ -97,10 +98,11 @@ func assertTenantEqual(t *testing.T, tn int, got, want fleet.TenantResult) {
 			t.Fatalf("tenant %d sample %d: %v != %v", tn, i, got.DefenseSamples[i], want.DefenseSamples[i])
 		}
 	}
-	for i := range got.TickPowerW {
-		if got.TickPowerW[i] != want.TickPowerW[i] {
-			t.Fatalf("tenant %d tick %d: %v != %v", tn, i, got.TickPowerW[i], want.TickPowerW[i])
-		}
+	if math.Float64bits(got.AvgPowerW) != math.Float64bits(want.AvgPowerW) {
+		t.Fatalf("tenant %d mean power %v != %v", tn, got.AvgPowerW, want.AvgPowerW)
+	}
+	if math.Float64bits(got.Seconds) != math.Float64bits(want.Seconds) {
+		t.Fatalf("tenant %d seconds %v != %v", tn, got.Seconds, want.Seconds)
 	}
 	if got.EnergyJ != want.EnergyJ {
 		t.Fatalf("tenant %d energy %v != %v", tn, got.EnergyJ, want.EnergyJ)

@@ -221,12 +221,6 @@ func diffTenant(s scalarTenant, b fleet.TenantResult) error {
 	if err := diffFloats("defense samples", s.res.DefenseSamples, b.DefenseSamples); err != nil {
 		return err
 	}
-	if err := diffFloats("tick power", s.res.TickPowerW, b.TickPowerW); err != nil {
-		return err
-	}
-	if err := diffFloats("tick wall power", s.res.TickWallW, b.TickWallW); err != nil {
-		return err
-	}
 	if err := diffFloats("mask targets", s.targets, b.Targets); err != nil {
 		return err
 	}
@@ -247,8 +241,14 @@ func diffTenant(s scalarTenant, b fleet.TenantResult) error {
 	if s.res.FirstStep != b.FirstStep {
 		return fmt.Errorf("first step differs: %d vs %d", s.res.FirstStep, b.FirstStep)
 	}
-	if math.Float64bits(s.res.EnergyJ) != math.Float64bits(b.EnergyJ) {
-		return fmt.Errorf("energy differs: %x vs %x", math.Float64bits(s.res.EnergyJ), math.Float64bits(b.EnergyJ))
+	if err := diffBits("energy", s.res.EnergyJ, b.EnergyJ); err != nil {
+		return err
+	}
+	if err := diffBits("mean power", s.res.AvgPowerW, b.AvgPowerW); err != nil {
+		return err
+	}
+	if err := diffBits("seconds", s.res.Seconds, b.Seconds); err != nil {
+		return err
 	}
 	if s.stats != b.Stats {
 		return fmt.Errorf("fault stats differ: %v vs %v", s.stats, b.Stats)
@@ -280,6 +280,13 @@ func diffFloats(what string, s, b []float64) error {
 			return fmt.Errorf("%s[%d] differs: %x (%g) vs %x (%g)",
 				what, i, math.Float64bits(s[i]), s[i], math.Float64bits(b[i]), b[i])
 		}
+	}
+	return nil
+}
+
+func diffBits(what string, s, b float64) error {
+	if math.Float64bits(s) != math.Float64bits(b) {
+		return fmt.Errorf("%s differs: %x (%g) vs %x (%g)", what, math.Float64bits(s), s, math.Float64bits(b), b)
 	}
 	return nil
 }

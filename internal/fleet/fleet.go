@@ -113,9 +113,9 @@ type slot struct {
 	eng *core.Engine
 	inj *fault.Injector
 
-	pw          float64    // the defense reading of the period just ended
-	in          sim.Inputs // the decision on pw
-	startEnergy float64
+	pw     float64    // the defense reading of the period just ended
+	in     sim.Inputs // the decision on pw
+	totals sim.RunTotals
 	// dead marks an evicted slot: it keeps stepping (per-tenant
 	// independence makes that invisible to the survivors) but stops
 	// recording, and its accumulated buffers are released.
@@ -286,7 +286,7 @@ func (e *Engine) Start() {
 	e.res = make([]TenantResult, spec.Tenants)
 	for t := range e.slots {
 		s := &e.slots[t]
-		s.startEnergy = s.m.TrueEnergyJ()
+		s.totals = sim.NewRunTotals(s.m)
 		e.res[t].FinishedTick = -1
 		e.res[t].FirstStep = e.step
 		e.res[t].InputTrace = append(e.res[t].InputTrace, s.m.Inputs())
@@ -312,8 +312,7 @@ func (e *Engine) StepPeriod() bool {
 			if s.dead {
 				continue
 			}
-			res[t].TickPowerW = append(res[t].TickPowerW, r.PowerW)
-			res[t].TickWallW = append(res[t].TickWallW, r.WallW)
+			s.totals.Add(r)
 			if r.Finished && res[t].FinishedTick < 0 {
 				res[t].FinishedTick = int64(tick) + 1
 			}
@@ -388,8 +387,7 @@ func (e *Engine) Results() []TenantResult {
 		if s.dead {
 			continue
 		}
-		res[t].EnergyJ = s.m.TrueEnergyJ() - s.startEnergy
-		res[t].Seconds = float64(len(res[t].TickPowerW)) * e.spec.Config.TickSeconds
+		s.totals.Finish(&res[t].RunResult)
 		if s.eng != nil {
 			res[t].Targets = s.eng.Targets
 			res[t].Flight = s.eng.Flight()

@@ -111,11 +111,11 @@ type TenantSpec struct {
 	// seed Seed.
 	Index int `json:"index,omitempty"`
 	// Seconds is the recorded duration (default 20); MaxTicks overrides
-	// it when positive.
+	// it when positive. Both are capped by MaxRunTicks.
 	Seconds  float64 `json:"seconds,omitempty"`
 	MaxTicks int     `json:"max_ticks,omitempty"`
 	// WarmupTicks is the unrecorded warmup (default 2000, mayactl's
-	// value; pass a negative value for none).
+	// value; pass a negative value for none), capped by MaxWarmupTicks.
 	WarmupTicks int `json:"warmup_ticks,omitempty"`
 	// Faults names a canned fault plan (empty = no faults).
 	Faults string `json:"faults,omitempty"`
@@ -147,8 +147,7 @@ type tenant struct {
 
 	state string
 	err   string
-	// res holds the finished result (done/drained); TickPowerW/TickWallW
-	// are released to bound resident memory.
+	// res holds the finished result (done/drained).
 	res fleet.TenantResult
 	// flight is the tenant's flight trace, flushed to JSONL bytes at
 	// finalization.
@@ -276,8 +275,17 @@ func (sp TenantSpec) resolve() (sim.Config, defense.Kind, fault.Plan, error) {
 	if math.IsNaN(sp.Seconds) || math.IsInf(sp.Seconds, 0) {
 		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds must be finite, not %v", sp.Seconds)
 	}
+	if sp.Seconds*1000 > MaxRunTicks {
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds %g exceeds the cap of %d s", sp.Seconds, MaxRunTicks/1000)
+	}
 	if sp.MaxTicks <= 0 {
-		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds %g does not give a positive tick count that fits an int", sp.Seconds)
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("seconds %g does not give a positive tick count", sp.Seconds)
+	}
+	if sp.MaxTicks > MaxRunTicks {
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("max_ticks %d exceeds the cap of %d", sp.MaxTicks, MaxRunTicks)
+	}
+	if sp.WarmupTicks > MaxWarmupTicks {
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("warmup_ticks %d exceeds the cap of %d", sp.WarmupTicks, MaxWarmupTicks)
 	}
 	if sp.Flight && !kind.IsMaya() {
 		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("flight recording needs a Maya defense (constant or gs), not %q", sp.Defense)
@@ -598,6 +606,17 @@ func tenantDataset(tn *tenant) *trace.Dataset {
 
 // PeriodTicks is the control period every run uses (the paper's 20 ms).
 const PeriodTicks = 20
+
+// Caps on a tenant's run length, which an untrusted spec sets. A recorded
+// run keeps a defense sample, an input triple and a mask target per
+// control period (about 2 B per tick), so MaxRunTicks — ten simulated
+// minutes at 1 ms ticks — bounds a resident tenant near 1.2 MB. The
+// warmup records nothing; its cap bounds the CPU spent before recording
+// starts to a simulated minute.
+const (
+	MaxRunTicks    = 600_000
+	MaxWarmupTicks = 60_000
+)
 
 // designCache memoizes Maya artifact synthesis per machine config name.
 // Synthesis is expensive (a full excitation + identification pass), runs

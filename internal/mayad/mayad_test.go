@@ -446,8 +446,9 @@ func TestSpillDrainStreams(t *testing.T) {
 }
 
 // TestBadSpecsRejected covers admission validation: unknown names 400,
-// durations whose tick count overflows or is not finite 400, malformed
-// JSON 400, unknown tenant 404.
+// durations whose tick count overflows or is not finite 400, tick counts
+// over the caps 400 with the field named, malformed JSON 400, unknown
+// tenant 404.
 func TestBadSpecsRejected(t *testing.T) {
 	srv := mayad.New(testConfig(1), nil)
 	srv.Start()
@@ -455,16 +456,32 @@ func TestBadSpecsRejected(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for _, sp := range []mayad.TenantSpec{
-		{Machine: "sys9"},
-		{Defense: "rot13"},
-		{Workload: "solitaire"},
-		{Faults: "gremlins"},
-		{Defense: "baseline", Flight: true},
-		{Seconds: 1e300},
+	for _, c := range []struct {
+		spec   mayad.TenantSpec
+		reason string // a word the 400 body must contain
+	}{
+		{mayad.TenantSpec{Machine: "sys9"}, "sys9"},
+		{mayad.TenantSpec{Defense: "rot13"}, "rot13"},
+		{mayad.TenantSpec{Workload: "solitaire"}, "solitaire"},
+		{mayad.TenantSpec{Faults: "gremlins"}, "gremlins"},
+		{mayad.TenantSpec{Defense: "baseline", Flight: true}, "flight"},
+		{mayad.TenantSpec{Seconds: 1e300}, "seconds"},
+		{mayad.TenantSpec{Seconds: 1e12}, "seconds"},
+		{mayad.TenantSpec{MaxTicks: 1 << 40}, "max_ticks"},
+		{mayad.TenantSpec{WarmupTicks: 1 << 40}, "warmup_ticks"},
 	} {
-		if resp, _ := admit(t, ts.URL, sp); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("spec %+v: status %d, want 400", sp, resp.StatusCode)
+		body, err := json.Marshal(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/tenants", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reason, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reason), c.reason) {
+			t.Fatalf("%s: status %d reason %q, want 400 naming %q", body, resp.StatusCode, reason, c.reason)
 		}
 	}
 	// JSON cannot encode ±Inf or NaN, so those durations reach Admit only

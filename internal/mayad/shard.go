@@ -270,10 +270,6 @@ func (sh *shard) finalize(b *bank, state string) {
 				flight = buf.Bytes()
 			}
 		}
-		// Release the bulky per-tick traces; the period-level trace,
-		// inputs, and targets are what the export endpoints serve.
-		res.TickPowerW = nil
-		res.TickWallW = nil
 		res.Flight = nil
 		sh.s.transition(tn, state, res, flight)
 	}

@@ -55,10 +55,6 @@ type RunResult struct {
 	DefenseSamples []float64
 	// InputTrace holds the commanded inputs chosen at each control period.
 	InputTrace []Inputs
-	// TickPowerW is the true per-tick core power (ground truth for tests).
-	TickPowerW []float64
-	// TickWallW is the true per-tick wall power.
-	TickWallW []float64
 	// FinishedTick is the tick (within the recorded window) at which the
 	// workload completed (-1 if it did not finish within MaxTicks).
 	FinishedTick int64
@@ -69,8 +65,44 @@ type RunResult struct {
 	FirstStep int
 	// EnergyJ is the total true core energy consumed.
 	EnergyJ float64
+	// AvgPowerW is the mean true core power over the recorded ticks.
+	AvgPowerW float64
 	// Seconds is the wall-clock duration simulated.
 	Seconds float64
+}
+
+// RunTotals streams the run-level aggregates of a RunResult — energy, mean
+// power and duration — so no per-tick series is kept. Run and fleet.Engine
+// both record through it. The power sum is a left fold in tick order from
+// 0.0, divided by the tick count: exactly signal.Mean over the per-tick
+// powers, bit for bit.
+type RunTotals struct {
+	m            *Machine
+	startEnergyJ float64
+	sumPowerW    float64
+	ticks        int
+}
+
+// NewRunTotals starts the totals of a recorded window on m at its current
+// energy.
+func NewRunTotals(m *Machine) RunTotals {
+	return RunTotals{m: m, startEnergyJ: m.TrueEnergyJ()}
+}
+
+// Add folds one recorded tick.
+func (t *RunTotals) Add(r StepResult) {
+	t.sumPowerW += r.PowerW
+	t.ticks++
+}
+
+// Finish writes EnergyJ, AvgPowerW (0 when no tick was recorded) and
+// Seconds into res.
+func (t *RunTotals) Finish(res *RunResult) {
+	res.EnergyJ = t.m.TrueEnergyJ() - t.startEnergyJ
+	if t.ticks > 0 {
+		res.AvgPowerW = t.sumPowerW / float64(t.ticks)
+	}
+	res.Seconds = float64(t.ticks) * t.m.Config().TickSeconds
 }
 
 // Run drives machine m under workload w and policy p according to spec.
@@ -106,13 +138,12 @@ func Run(m *Machine, w workload.Workload, p Policy, spec RunSpec) RunResult {
 		}
 	}
 
-	startEnergy := m.TrueEnergyJ()
+	totals := NewRunTotals(m)
 	res.FirstStep = step
 	res.InputTrace = append(res.InputTrace, m.Inputs())
 	for tick := 0; tick < spec.MaxTicks; tick++ {
 		r := m.Step(w)
-		res.TickPowerW = append(res.TickPowerW, r.PowerW)
-		res.TickWallW = append(res.TickWallW, r.WallW)
+		totals.Add(r)
 		defSensor.Observe(r)
 		for _, s := range spec.Samplers {
 			s.Sensor.Observe(r)
@@ -136,8 +167,7 @@ func Run(m *Machine, w workload.Workload, p Policy, spec RunSpec) RunResult {
 			res.InputTrace = append(res.InputTrace, m.Inputs())
 		}
 	}
-	res.EnergyJ = m.TrueEnergyJ() - startEnergy
-	res.Seconds = float64(len(res.TickPowerW)) * m.Config().TickSeconds
+	totals.Finish(&res)
 	return res
 }
 

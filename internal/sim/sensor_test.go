@@ -113,11 +113,15 @@ func TestRunnerBaseline(t *testing.T) {
 	if res.FinishedTick < 0 {
 		t.Fatal("workload did not finish")
 	}
-	if len(res.DefenseSamples) == 0 || len(res.TickPowerW) == 0 {
+	if len(res.DefenseSamples) == 0 {
 		t.Fatal("no samples recorded")
 	}
-	if res.EnergyJ <= 0 || res.Seconds <= 0 {
-		t.Fatalf("accounting broken: E=%g t=%g", res.EnergyJ, res.Seconds)
+	if res.EnergyJ <= 0 || res.AvgPowerW <= 0 {
+		t.Fatalf("accounting broken: E=%g P=%g", res.EnergyJ, res.AvgPowerW)
+	}
+	// StopOnFinish: the recorded window ends on the finishing tick.
+	if want := float64(res.FinishedTick) * cfg.TickSeconds; res.Seconds != want {
+		t.Fatalf("seconds %g, want %g (finished at tick %d)", res.Seconds, want, res.FinishedTick)
 	}
 }
 
@@ -150,8 +154,53 @@ func TestRunnerContinuesPastFinish(t *testing.T) {
 	if res.FinishedTick < 0 {
 		t.Fatal("tiny page never finished")
 	}
-	if int64(len(res.TickPowerW)) <= res.FinishedTick {
-		t.Fatal("run stopped at finish despite StopOnFinish=false")
+	if finish := float64(res.FinishedTick) * cfg.TickSeconds; res.Seconds <= finish {
+		t.Fatalf("run stopped at finish despite StopOnFinish=false: %g s <= %g s", res.Seconds, finish)
+	}
+	if want := 30000 * cfg.TickSeconds; res.Seconds != want {
+		t.Fatalf("seconds %g, want the full %g", res.Seconds, want)
+	}
+}
+
+// tickPower is a sampler sensor that keeps the true core power of every
+// recorded tick: the per-tick truth RunResult no longer stores.
+type tickPower struct{ w []float64 }
+
+func (s *tickPower) Observe(r StepResult) { s.w = append(s.w, r.PowerW) }
+func (s *tickPower) ReadW() float64       { return 0 }
+
+// TestRunTotalsMatchPerTickMean pins the streaming aggregates against the
+// per-tick truth: AvgPowerW is bit-identical to signal.Mean over the
+// recorded ticks, Seconds counts exactly those ticks, and warmup ticks are
+// in neither.
+func TestRunTotalsMatchPerTickMean(t *testing.T) {
+	cfg := Sys1()
+	for _, stop := range []bool{true, false} {
+		m := NewMachine(cfg, 11)
+		w := workload.NewPage("google").Scale(0.2)
+		w.Reset(3)
+		truth := &tickPower{}
+		const maxTicks = 8000
+		res := Run(m, w, NewBaselinePolicy(cfg), RunSpec{
+			ControlPeriodTicks: 20, MaxTicks: maxTicks, StopOnFinish: stop,
+			WarmupTicks: 130, Samplers: []*Sampler{{Sensor: truth}},
+		})
+		if res.FinishedTick < 0 {
+			t.Fatalf("stop=%v: workload did not finish", stop)
+		}
+		wantTicks := int64(maxTicks)
+		if stop {
+			wantTicks = res.FinishedTick
+		}
+		if int64(len(truth.w)) != wantTicks {
+			t.Fatalf("stop=%v: sampler saw %d ticks, want %d recorded (warmup excluded)", stop, len(truth.w), wantTicks)
+		}
+		if got, want := res.AvgPowerW, signal.Mean(truth.w); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("stop=%v: AvgPowerW %x (%g), signal.Mean %x (%g)", stop, math.Float64bits(got), got, math.Float64bits(want), want)
+		}
+		if want := float64(len(truth.w)) * cfg.TickSeconds; res.Seconds != want {
+			t.Fatalf("stop=%v: Seconds %g, want %g", stop, res.Seconds, want)
+		}
 	}
 }
 
