@@ -1,6 +1,6 @@
 // Command mayad is the fleet-defense daemon: a long-running HTTP server
-// that admits defended tenants, steps them on a sharded scheduler built
-// from internal/fleet banks, and serves traces, flight records, and
+// that admits defended tenants, steps each one as its own internal/fleet
+// engine on a sharded scheduler, and serves traces, flight records, and
 // Prometheus telemetry back out.
 //
 // Usage:
@@ -18,7 +18,7 @@
 //	GET    /tenants/{id}/trace?format=csv|json|mayt   finished trace
 //	GET    /tenants/{id}/flight                       flight JSONL
 //	GET    /traces.csv         all finished tenants as one fleet CSV
-//	GET    /spill              drain the streaming sample buffers
+//	GET    /spill              drain the per-shard streaming sample buffers
 //	GET    /healthz            ok / draining
 //	GET    /metrics            Prometheus telemetry (via debugsrv)
 //
@@ -52,7 +52,7 @@ func main() {
 	shards := flag.Int("shards", 2, "scheduler worker shards")
 	maxTenants := flag.Int("max-tenants", 64, "resident-tenant cap; admissions beyond it shed with 503")
 	queue := flag.Int("queue", 16, "per-shard admission queue depth")
-	spill := flag.Int("spill", 4096, "per-bank spill buffer bound (drop-oldest past it)")
+	spill := flag.Int("spill", 4096, "per-shard spill buffer bound (drop-oldest past it)")
 	spool := flag.String("spool", "", "directory for tenant traces flushed at drain (empty = no spool)")
 	pace := flag.Duration("pace", 0, "sleep between scheduler passes (0 = run flat out)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file (for scripts using :0)")

@@ -6,9 +6,8 @@
 // control period advances every slot through the same four phases:
 // machine ticks, sensor reads, decisions, actuation. On top of sim.Run the
 // engine adds only what a fleet needs: per-tenant seed derivation
-// (TenantSeeds, Spec.SeedAt), incremental stepping with mid-run eviction
-// (Start, StepPeriod, Evict, Results), per-phase telemetry (Metrics), and a
-// concurrent sample buffer (Spill).
+// (TenantSeeds, Spec.SeedAt), incremental stepping (Start, StepPeriod,
+// Results) and per-phase telemetry (Metrics).
 //
 // Every tenant's result is bit-identical to sim.Run over the same pieces
 // with the same seeds. The difftest subpackage checks that across all
@@ -18,8 +17,8 @@
 // An earlier version kept a second, structure-of-arrays copy of the machine
 // model and the controller that stepped all tenants as batched kernels. It
 // was removed because it never won end to end. For 1,000 tenants over 10
-// periods it took 45.5 ms against 40.1 ms for independent scalar runs. The
-// daemon's banks average 1.01 tenants; at one slot a batched run took
+// periods it took 45.5 ms against 40.1 ms for independent scalar runs. At
+// one slot, the shape the daemon runs every tenant in, a batched run took
 // 527–611 µs and 146 allocations against 400–463 µs and 82 allocations for
 // sim.Run.
 package fleet
@@ -66,10 +65,9 @@ type Spec struct {
 	BaseSeed uint64
 	// SeedAt, when non-nil, overrides per-tenant seed derivation: it
 	// returns slot t's four run seeds in TenantSeeds order. This is how a
-	// daemon packs tenants with unrelated identities into one bank — each
-	// slot carries TenantSeeds(itsOwnSeed, itsOwnIndex) — while staying
-	// bit-identical to a solo run with those seeds. Nil derives
-	// TenantSeeds(BaseSeed, t).
+	// daemon runs tenant (S, I) as a one-slot fleet carrying
+	// TenantSeeds(S, I), bit-identical to slot I of a BaseSeed=S fleet.
+	// Nil derives TenantSeeds(BaseSeed, t).
 	SeedAt func(t int) (machine, work, policy, faults uint64)
 	// NewWorkload builds one tenant's workload (it is Reset with the
 	// tenant's workload seed). Nil runs every tenant idle.
@@ -116,30 +114,24 @@ type slot struct {
 	pw     float64    // the defense reading of the period just ended
 	in     sim.Inputs // the decision on pw
 	totals sim.RunTotals
-	// dead marks an evicted slot: it keeps stepping (per-tenant
-	// independence makes that invisible to the survivors) but stops
-	// recording, and its accumulated buffers are released.
-	dead bool
 }
 
 // Engine is one fleet in flight. Like the scalar engine it is single-
 // goroutine: one caller owns it; concurrent observers read only through
-// the telemetry registry and the Spill (see race tests).
+// the telemetry registry (see race tests).
 type Engine struct {
 	spec  Spec
 	slots []slot
 
 	metrics *Metrics
-	spill   *Spill
 
 	// Incremental-run state (Start/StepPeriod/Results). Run wraps the
-	// three; a daemon interleaves them with admissions and evictions.
+	// three; a daemon interleaves them with other tenants' runs.
 	res      []TenantResult
 	step     int
 	tick     int
 	started  bool
 	finished bool
-	alive    int
 }
 
 // New assembles a fleet. It panics on an invalid spec (like sim.NewMachine
@@ -166,7 +158,7 @@ func New(spec Spec) *Engine {
 		}
 	}
 
-	e := &Engine{spec: spec, slots: make([]slot, spec.Tenants), alive: spec.Tenants}
+	e := &Engine{spec: spec, slots: make([]slot, spec.Tenants)}
 	for t := range e.slots {
 		s := &e.slots[t]
 		ms, ws, ps, fs := seedAt(t)
@@ -211,10 +203,6 @@ func New(spec Spec) *Engine {
 // SetMetrics attaches fleet telemetry (nil detaches).
 func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
 
-// SetSpill attaches a concurrent-reader spill buffer: every control period
-// the engine pushes one Sample per tenant into it (nil detaches).
-func (e *Engine) SetSpill(s *Spill) { e.spill = s }
-
 // Tenants returns the fleet size.
 func (e *Engine) Tenants() int { return e.spec.Tenants }
 
@@ -239,8 +227,7 @@ func (e *Engine) actuate() {
 // period boundary: read, decide, actuate), so each tenant's recorded trace
 // matches its scalar twin's bit for bit. Run is Start +
 // StepPeriod-to-exhaustion + Results; incremental callers (cmd/mayad's
-// shard scheduler) drive the three directly so admissions and evictions
-// can interleave with the run.
+// shard scheduler) drive the three directly so many runs can interleave.
 func (e *Engine) Run() []TenantResult {
 	e.Start()
 	for e.StepPeriod() {
@@ -309,9 +296,6 @@ func (e *Engine) StepPeriod() bool {
 			s := &e.slots[t]
 			r := s.m.Step(s.work)
 			s.sensor.Observe(r)
-			if s.dead {
-				continue
-			}
 			s.totals.Add(r)
 			if r.Finished && res[t].FinishedTick < 0 {
 				res[t].FinishedTick = int64(tick) + 1
@@ -331,9 +315,7 @@ func (e *Engine) StepPeriod() bool {
 		for t := range e.slots {
 			s := &e.slots[t]
 			s.pw = s.sensor.ReadW()
-			if !s.dead {
-				res[t].DefenseSamples = append(res[t].DefenseSamples, s.pw)
-			}
+			res[t].DefenseSamples = append(res[t].DefenseSamples, s.pw)
 		}
 		if e.metrics != nil {
 			tNow := e.clock()
@@ -350,19 +332,10 @@ func (e *Engine) StepPeriod() bool {
 		}
 		e.actuate()
 		for t := range e.slots {
-			if s := &e.slots[t]; !s.dead {
-				res[t].InputTrace = append(res[t].InputTrace, s.m.Inputs())
-			}
+			res[t].InputTrace = append(res[t].InputTrace, e.slots[t].m.Inputs())
 		}
 		if e.metrics != nil {
 			e.metrics.ActuateNs.Add(uint64(e.clock() - tPhase))
-		}
-		if e.spill != nil {
-			for t := range e.slots {
-				if s := &e.slots[t]; !s.dead {
-					e.spill.push(Sample{Step: e.step, Tenant: t, PowerW: s.pw})
-				}
-			}
 		}
 		break
 	}
@@ -371,8 +344,8 @@ func (e *Engine) StepPeriod() bool {
 
 // Results finalizes and returns one result per tenant slot: exactly what
 // Run returns when the run consumed MaxTicks, and a bit-identical prefix
-// of that when called early (a daemon draining mid-run). Evicted slots
-// are zero. Results may be called once.
+// of that when called early (a daemon draining mid-run). Results may be
+// called once.
 func (e *Engine) Results() []TenantResult {
 	if !e.started {
 		panic("fleet: Engine.Results before Start")
@@ -384,9 +357,6 @@ func (e *Engine) Results() []TenantResult {
 	res := e.res
 	for t := range e.slots {
 		s := &e.slots[t]
-		if s.dead {
-			continue
-		}
 		s.totals.Finish(&res[t].RunResult)
 		if s.eng != nil {
 			res[t].Targets = s.eng.Targets
@@ -399,24 +369,9 @@ func (e *Engine) Results() []TenantResult {
 	return res
 }
 
-// Evict stops recording slot t and releases its accumulated buffers. The
-// slot's machine and policy keep stepping — slots share no state, so the
-// survivors' traces are unchanged whether an evicted neighbor steps or
-// not, and continuing to step costs no extra code path. Evicting every
-// slot leaves a fleet that is pure overhead; the owner should drop it.
-func (e *Engine) Evict(t int) {
-	if e.slots[t].dead {
-		return
-	}
-	e.slots[t].dead = true
-	e.alive--
-	if e.res != nil {
-		e.res[t] = TenantResult{}
-	}
-}
-
-// Alive reports how many slots have not been evicted.
-func (e *Engine) Alive() int { return e.alive }
+// Reading returns slot t's latest defense reading: after a StepPeriod that
+// crossed a period boundary, the sample it just recorded.
+func (e *Engine) Reading(t int) float64 { return e.slots[t].pw }
 
 // Step reports the control-step counter (warmup steps included); Tick
 // reports recorded machine ticks consumed, up to Spec.MaxTicks.

@@ -26,10 +26,6 @@ type Metrics struct {
 	SenseNs   *telemetry.Counter
 	ControlNs *telemetry.Counter
 	ActuateNs *telemetry.Counter
-	// SpillDropped counts samples a bounded Spill discarded (drop-oldest)
-	// because no subscriber drained them; wire it with
-	// Spill.SetDropCounter.
-	SpillDropped *telemetry.Counter
 }
 
 // NewMetrics registers the fleet instruments. Multiple fleets may share a
@@ -43,8 +39,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		SenseNs:   reg.Counter("maya_fleet_sense_ns_total", "host ns in the sensor reads"),
 		ControlNs: reg.Counter("maya_fleet_control_ns_total", "host ns in the control decisions"),
 		ActuateNs: reg.Counter("maya_fleet_actuate_ns_total", "host ns in the actuator commits"),
-		SpillDropped: reg.Counter("maya_fleet_spill_dropped_total",
-			"spill samples discarded by drop-oldest because no reader drained"),
 	}
 }
 

@@ -15,12 +15,13 @@ import (
 )
 
 // TestFleetConcurrentObserver steps a fleet on one goroutine while a reader
-// on another continuously drains the spill buffer and snapshots/exports the
-// telemetry registry. Under -race (the CI race job runs the whole tree)
-// this proves the engine's concurrency contract: the spill mutex and the
-// registry's internal synchronization are the only cross-goroutine seams,
-// and the per-tenant state never leaks across them. The same run checks
-// the phase counters that fleet.Metrics exports.
+// on another continuously snapshots and exports the telemetry registry.
+// Under -race (the CI race job runs the whole tree) this proves the
+// engine's concurrency contract: the registry's internal synchronization
+// is the only cross-goroutine seam, and the per-tenant state never leaks
+// across it. The same run checks the phase counters that fleet.Metrics
+// exports. The daemon's spill ring has its own race test in
+// internal/mayad.
 func TestFleetConcurrentObserver(t *testing.T) {
 	cfg := sim.Sys1()
 	art, err := difftest.DesignFor(cfg)
@@ -42,17 +43,13 @@ func TestFleetConcurrentObserver(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	met := fleet.NewMetrics(reg)
 	eng.SetMetrics(met)
-	spill := &fleet.Spill{}
-	eng.SetSpill(spill)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	drained := 0
 	go func() {
 		defer wg.Done()
 		for {
-			drained += len(spill.Drain())
 			reg.Snapshot()
 			if err := reg.WriteJSONL(io.Discard); err != nil {
 				t.Error(err)
@@ -60,7 +57,6 @@ func TestFleetConcurrentObserver(t *testing.T) {
 			}
 			select {
 			case <-done:
-				drained += len(spill.Drain())
 				return
 			default:
 			}
@@ -72,11 +68,6 @@ func TestFleetConcurrentObserver(t *testing.T) {
 
 	if len(results) != 32 {
 		t.Fatalf("got %d tenant results, want 32", len(results))
-	}
-	// One sample per tenant per control period: 4000 ticks / 20 = 200
-	// periods, all drained between pushes or in the final sweep.
-	if want := 32 * (4000 / 20); drained != want {
-		t.Fatalf("drained %d samples, want %d", drained, want)
 	}
 	// The phase counters carry e2ebench's per-layer fleet breakdown: every
 	// tenant tick and control period is counted, and each phase took time.

@@ -1,23 +1,23 @@
 // Package mayad is the fleet-defense daemon behind cmd/mayad: a
 // long-running server that admits tenants — (machine, defense, workload,
-// seed) quadruples — over HTTP, steps them on a sharded scheduler built
-// from internal/fleet banks, and serves their traces, flight records, and
-// telemetry back out.
+// seed) quadruples — over HTTP, steps each one as its own one-slot
+// internal/fleet engine on a sharded scheduler, and serves their traces,
+// flight records, and telemetry back out.
 //
 // Determinism is the core contract: a tenant admitted with (seed S, index
 // I) produces exactly the trace of tenant I in a solo `mayactl -fleet`
-// run with base seed S — byte-identical at any shard count, any bank
-// packing, and regardless of which other tenants share the daemon. The
-// fleet engine's per-tenant independence (pinned by its differential
-// tests) makes this structural: each bank slot carries
-// fleet.TenantSeeds(S, I) via Spec.SeedAt, so neither scheduling order
-// nor co-residency can leak into a tenant's samples.
+// run with base seed S — byte-identical at any shard count and regardless
+// of which other tenants share the daemon. The fleet engine's per-tenant
+// independence (pinned by its differential tests) makes this structural:
+// a tenant's engine carries fleet.TenantSeeds(S, I) via Spec.SeedAt and
+// shares no state with any other tenant's, so neither scheduling order
+// nor co-residency can leak into its samples.
 //
 // The daemon degrades under load instead of falling over: admissions pass
 // through bounded per-shard queues and a MaxTenants cap, and excess
 // requests are shed with 503 + Retry-After (counted in
 // mayad_admission_shed_total). Shutdown is a graceful drain: shards stop
-// at a period boundary, in-flight banks finalize into bit-identical
+// at a period boundary, running tenants finalize into bit-identical
 // prefixes of their full runs, and tenant traces are spooled to disk.
 package mayad
 
@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/maya-defense/maya/internal/core"
@@ -52,7 +53,7 @@ type Config struct {
 	// QueueDepth bounds each shard's command queue; a full queue sheds
 	// the admission instead of blocking the HTTP handler (default 16).
 	QueueDepth int
-	// SpillLimit bounds each bank's spill buffer (drop-oldest); 0 uses
+	// SpillLimit bounds each shard's spill ring (drop-oldest); 0 uses
 	// 4096.
 	SpillLimit int
 	// SpoolDir, when non-empty, receives one trace file per finished
@@ -125,16 +126,17 @@ type TenantSpec struct {
 
 // Tenant lifecycle states.
 const (
-	StateQueued  = "queued"  // admitted, waiting for its shard to bank it
-	StateRunning = "running" // stepping in a fleet bank
+	StateQueued  = "queued"  // admitted, waiting for its shard to launch it
+	StateRunning = "running" // stepping on its shard
 	StateDone    = "done"    // ran to MaxTicks; results held
 	StateDrained = "drained" // stopped early by daemon drain; prefix results held
 	StateEvicted = "evicted" // removed by DELETE before finishing
 	StateFailed  = "failed"  // admission resolved but the run could not start
 )
 
-// tenant is one admitted run. Mutable fields are guarded by Server.mu;
-// the shard goroutine takes the lock briefly at each transition.
+// tenant is one admitted run. Mutable fields other than the atomic tick
+// are guarded by Server.mu; the shard goroutine takes the lock briefly at
+// each transition.
 type tenant struct {
 	id    int
 	spec  TenantSpec // normalized (defaults applied)
@@ -147,6 +149,10 @@ type tenant struct {
 
 	state string
 	err   string
+	// tick is the recorded machine ticks run so far (fleet.Engine.Tick),
+	// stored by the shard after every period and, with the terminal state,
+	// by transition.
+	tick atomic.Int64
 	// res holds the finished result (done/drained).
 	res fleet.TenantResult
 	// flight is the tenant's flight trace, flushed to JSONL bytes at
@@ -340,9 +346,9 @@ func (s *Server) Admit(sp TenantSpec) (int, error) {
 }
 
 // Evict removes tenant id. Finished tenants are deleted outright;
-// queued/running ones are evicted through their shard (the slot keeps
-// stepping unrecorded, invisible to its bank neighbors). The bool reports
-// whether the tenant existed.
+// queued/running ones are evicted through their shard, which drops the
+// tenant's engine so it stops stepping. The bool reports whether the
+// tenant existed.
 func (s *Server) Evict(id int) (bool, error) {
 	s.mu.Lock()
 	tn, ok := s.tenants[id]
@@ -395,14 +401,10 @@ type TenantStatus struct {
 func (s *Server) statusLocked(tn *tenant) TenantStatus {
 	st := TenantStatus{
 		ID: tn.id, State: tn.state, Shard: tn.shard, Spec: tn.spec,
-		Error: tn.err, MaxTicks: tn.spec.MaxTicks,
+		Error: tn.err, Tick: int(tn.tick.Load()), MaxTicks: tn.spec.MaxTicks,
 	}
 	switch tn.state {
 	case StateDone, StateDrained:
-		st.Tick = len(tn.res.DefenseSamples) * PeriodTicks
-		if st.Tick > st.MaxTicks {
-			st.Tick = st.MaxTicks
-		}
 		st.EnergyJ = tn.res.EnergyJ
 		st.Seconds = tn.res.Seconds
 		st.FinishedTick = tn.res.FinishedTick
@@ -488,14 +490,17 @@ func (s *Server) setState(tn *tenant, state string) {
 	s.mu.Unlock()
 }
 
-// transition moves a tenant to a terminal state, storing its result and
-// flight bytes and releasing its residency slot.
-func (s *Server) transition(tn *tenant, state string, res fleet.TenantResult, flight []byte) {
+// transition moves a tenant to a terminal state, storing the recorded
+// ticks it ended at, its result and flight bytes, and releasing its
+// residency slot. The final tick is published with the state, so a status
+// never pairs a finished tick count with a running state or the reverse.
+func (s *Server) transition(tn *tenant, state string, tick int, res fleet.TenantResult, flight []byte) {
 	s.mu.Lock()
 	if tn.state == StateQueued || tn.state == StateRunning {
 		s.resident--
 	}
 	tn.state = state
+	tn.tick.Store(int64(tick))
 	tn.res = res
 	tn.flight = flight
 	resident := s.resident
@@ -520,31 +525,22 @@ func (s *Server) fail(tn *tenant, err error) {
 	s.met.Failed.Inc()
 }
 
-// SpillSample is one spilled control-period reading, translated from bank
-// slots to tenant ids (-1 when the slot was already evicted).
-type SpillSample struct {
-	Shard  int     `json:"shard"`
-	Tenant int     `json:"tenant"`
-	Step   int     `json:"step"`
-	PowerW float64 `json:"power_w"`
-}
-
-// DrainSpill empties every shard's bank spill buffers: the streaming
-// observation tap. Samples older than each bank's bound have been dropped
+// DrainSpill empties every shard's spill ring: the streaming observation
+// tap. Samples pushed past a ring's bound have displaced the oldest
 // (drop-oldest, counted in maya_fleet_spill_dropped_total).
 func (s *Server) DrainSpill() []SpillSample {
 	out := []SpillSample{}
 	for _, sh := range s.shards {
-		out = append(out, sh.spillSamples()...)
+		out = append(out, sh.spill.drain()...)
 	}
 	return out
 }
 
 // Drain stops the daemon gracefully: new admissions shed with 503, every
-// shard finalizes its banks at the next period boundary (tenant results
-// become bit-identical prefixes of their full runs), and finished traces
-// are spooled to Config.SpoolDir. Idempotent; blocks until the shards
-// have exited and the spool is flushed.
+// shard finalizes its running tenants at the next period boundary (their
+// results become bit-identical prefixes of their full runs), and finished
+// traces are spooled to Config.SpoolDir. Idempotent; blocks until the
+// shards have exited and the spool is flushed.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
@@ -620,7 +616,7 @@ const (
 
 // designCache memoizes Maya artifact synthesis per machine config name.
 // Synthesis is expensive (a full excitation + identification pass), runs
-// at most once per machine, and every bank on any shard shares the
+// at most once per machine, and every tenant on any shard shares the
 // result — exactly the artifact a solo mayactl run builds.
 type designCache struct {
 	synth func(sim.Config) (*core.Design, error)

@@ -412,38 +412,140 @@ func TestDrainFlushesPrefixAndSpools(t *testing.T) {
 	}
 }
 
-// TestSpillDrainStreams checks the observation tap: spilled samples carry
-// daemon tenant ids and match the tenants' recorded period samples.
+// TestSpillDrainStreams checks the observation tap end to end. A reader
+// drains /spill in a loop while two tenants run on one shard, then once
+// more after both are done. Each tenant's spilled samples, concatenated,
+// must equal its recorded trace bit for bit, with consecutive steps: no
+// period is lost, duplicated or reordered, the last one included. The
+// drain loop races the shard goroutine's pushes, so -race covers the spill
+// seam.
 func TestSpillDrainStreams(t *testing.T) {
-	const base = 0x5b11
-	srv := mayad.New(testConfig(1), nil)
+	const base, tenants = 0x5b11, 2
+	cfg := testConfig(1)
+	cfg.Pace = time.Millisecond
+	srv := mayad.New(cfg, nil)
 	srv.Start()
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if resp, _ := admit(t, ts.URL, testSpec(base, 0)); resp.StatusCode != http.StatusCreated {
-		t.Fatal("admit failed")
+	for i := 0; i < tenants; i++ {
+		if resp, _ := admit(t, ts.URL, testSpec(base, i)); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("admit %d failed", i)
+		}
 	}
-	waitState(t, ts.URL, 0, mayad.StateDone)
+	spilled := make(map[int][]mayad.SpillSample)
+	drain := func() {
+		code, body := get(t, ts.URL+"/spill")
+		if code != http.StatusOK {
+			t.Fatalf("/spill: status %d", code)
+		}
+		var samples []mayad.SpillSample
+		if err := json.Unmarshal(body, &samples); err != nil {
+			t.Fatal(err)
+		}
+		for _, smp := range samples {
+			if smp.Tenant < 0 || smp.Tenant >= tenants || smp.Shard != 0 {
+				t.Fatalf("spill sample for unknown tenant or shard: %+v", smp)
+			}
+			spilled[smp.Tenant] = append(spilled[smp.Tenant], smp)
+		}
+	}
+	for running := true; running; {
+		drain()
+		running = false
+		for i := 0; i < tenants; i++ {
+			if st, _ := srv.Status(i); st.State != mayad.StateDone {
+				running = true
+			}
+		}
+	}
+	drain()
 
-	code, body := get(t, ts.URL+"/spill")
-	if code != http.StatusOK {
-		t.Fatalf("/spill: status %d", code)
-	}
-	var samples []mayad.SpillSample
-	if err := json.Unmarshal(body, &samples); err != nil {
-		t.Fatal(err)
-	}
-	// The bank is gone once the run finalizes, so a post-completion drain
-	// may legally return nothing; what it must never do is invent
-	// samples for unknown tenants.
-	for _, smp := range samples {
-		if smp.Tenant != 0 {
-			t.Fatalf("spill sample for unknown tenant %d", smp.Tenant)
+	for i := 0; i < tenants; i++ {
+		_, body := get(t, fmt.Sprintf("%s/tenants/%d/trace?format=mayt", ts.URL, i))
+		d, err := trace.ReadBinary(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := d.Traces[0].Samples
+		got := spilled[i]
+		if len(got) != len(want) {
+			t.Fatalf("tenant %d: spilled %d samples, recorded %d", i, len(got), len(want))
+		}
+		for j, smp := range got {
+			if math.Float64bits(smp.PowerW) != math.Float64bits(want[j]) {
+				t.Fatalf("tenant %d sample %d: spilled %v, recorded %v", i, j, smp.PowerW, want[j])
+			}
+			if j > 0 && smp.Step != got[j-1].Step+1 {
+				t.Fatalf("tenant %d: step %d follows step %d", i, smp.Step, got[j-1].Step)
+			}
 		}
 	}
 }
+
+// TestStatusReportsTick checks the progress a status reports: while a
+// paced tenant runs, tick rises through 0 < tick < max_ticks and never
+// decreases; once done it reports max_ticks, also when max_ticks is not a
+// whole number of control periods.
+func TestStatusReportsTick(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Pace = time.Millisecond
+	srv := mayad.New(cfg, nil)
+	srv.Start()
+	defer srv.Drain()
+
+	sp := testSpec(0x71c, 0)
+	sp.MaxTicks = 2010
+	id, err := srv.Admit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st mayad.TenantStatus
+	last, sawProgress := 0, false
+	for tries := 0; st.State != mayad.StateDone; tries++ {
+		if tries == 200000 {
+			t.Fatalf("tenant stuck in %q at tick %d", st.State, st.Tick)
+		}
+		time.Sleep(100 * time.Microsecond)
+		st, _ = srv.Status(id)
+		if st.Tick < last {
+			t.Fatalf("tick went from %d back to %d", last, st.Tick)
+		}
+		last = st.Tick
+		if st.State == mayad.StateRunning && st.Tick > 0 {
+			if st.Tick >= sp.MaxTicks {
+				t.Fatalf("running tenant reports tick %d of %d", st.Tick, sp.MaxTicks)
+			}
+			sawProgress = true
+		}
+	}
+	if !sawProgress {
+		t.Fatal("never saw a running tenant with 0 < tick < max_ticks")
+	}
+	if last != sp.MaxTicks {
+		t.Fatalf("done tenant reports tick %d, want %d", last, sp.MaxTicks)
+	}
+}
+
+// badSpecs are well-formed specs that admission must refuse with 400.
+var badSpecs = []struct {
+	spec   mayad.TenantSpec
+	reason string // a word the 400 body must contain
+}{
+	{mayad.TenantSpec{Machine: "sys9"}, "sys9"},
+	{mayad.TenantSpec{Defense: "rot13"}, "rot13"},
+	{mayad.TenantSpec{Workload: "solitaire"}, "solitaire"},
+	{mayad.TenantSpec{Faults: "gremlins"}, "gremlins"},
+	{mayad.TenantSpec{Defense: "baseline", Flight: true}, "flight"},
+	{mayad.TenantSpec{Seconds: 1e300}, "seconds"},
+	{mayad.TenantSpec{Seconds: 1e12}, "seconds"},
+	{mayad.TenantSpec{MaxTicks: 1 << 40}, "max_ticks"},
+	{mayad.TenantSpec{WarmupTicks: 1 << 40}, "warmup_ticks"},
+}
+
+// malformedSpecs are request bodies that do not decode as a TenantSpec.
+var malformedSpecs = []string{"{nope", `{"seconds":NaN}`, `{"seconds":1e400}`}
 
 // TestBadSpecsRejected covers admission validation: unknown names 400,
 // durations whose tick count overflows or is not finite 400, tick counts
@@ -456,20 +558,7 @@ func TestBadSpecsRejected(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for _, c := range []struct {
-		spec   mayad.TenantSpec
-		reason string // a word the 400 body must contain
-	}{
-		{mayad.TenantSpec{Machine: "sys9"}, "sys9"},
-		{mayad.TenantSpec{Defense: "rot13"}, "rot13"},
-		{mayad.TenantSpec{Workload: "solitaire"}, "solitaire"},
-		{mayad.TenantSpec{Faults: "gremlins"}, "gremlins"},
-		{mayad.TenantSpec{Defense: "baseline", Flight: true}, "flight"},
-		{mayad.TenantSpec{Seconds: 1e300}, "seconds"},
-		{mayad.TenantSpec{Seconds: 1e12}, "seconds"},
-		{mayad.TenantSpec{MaxTicks: 1 << 40}, "max_ticks"},
-		{mayad.TenantSpec{WarmupTicks: 1 << 40}, "warmup_ticks"},
-	} {
+	for _, c := range badSpecs {
 		body, err := json.Marshal(c.spec)
 		if err != nil {
 			t.Fatal(err)
@@ -491,7 +580,7 @@ func TestBadSpecsRejected(t *testing.T) {
 			t.Fatalf("seconds %v: err %v, want a finiteness rejection", secs, err)
 		}
 	}
-	for _, body := range []string{"{nope", `{"seconds":NaN}`, `{"seconds":1e400}`} {
+	for _, body := range malformedSpecs {
 		resp, err := http.Post(ts.URL+"/tenants", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -504,4 +593,70 @@ func TestBadSpecsRejected(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/tenants/99"); code != http.StatusNotFound {
 		t.Fatalf("unknown tenant: status %d, want 404", code)
 	}
+}
+
+// FuzzAdmit drives raw POST /tenants bodies through the API handler. The
+// trust-boundary contract: every body gets 201, 400 or 503 — never a
+// panic or another status — and a spec that is admitted has been
+// normalized into bounded run lengths. The server is never started, so
+// admitted tenants only queue; each input gets a fresh server so its
+// admission is not shed by earlier inputs filling the queue.
+func FuzzAdmit(f *testing.F) {
+	for _, sp := range []mayad.TenantSpec{
+		{},
+		testSpec(1, 0),
+		{Machine: "sys3", Defense: "random", Workload: "web/google", Seconds: 0.5, WarmupTicks: -1},
+		{Defense: "constant", Faults: "kitchen-sink", MaxTicks: mayad.MaxRunTicks, WarmupTicks: mayad.MaxWarmupTicks},
+		{Seconds: -3, MaxTicks: -7, WarmupTicks: -1 << 40, Index: -1},
+	} {
+		body, err := json.Marshal(sp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, c := range badSpecs {
+		body, err := json.Marshal(c.spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, body := range malformedSpecs {
+		f.Add([]byte(body))
+	}
+	for _, body := range []string{
+		"",
+		`{"seed":7,"index":1,"sec`,
+		`{"max_ticks":99999999999999999999999}`,
+		`{"warmup_ticks":-9223372036854775808}`,
+		`{"seconds":9.2e15}`,
+		`{"seconds":1e-300}`,
+		`{"scale":1e308,"index":9223372036854775807,"seed":18446744073709551615}`,
+		`{"machine":"sys1"}{"machine":"sys2"}`,
+		`{"unknown":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		h := mayad.New(testConfig(1), nil).Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tenants", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusServiceUnavailable:
+			return
+		case http.StatusCreated:
+		default:
+			t.Fatalf("body %q: status %d", body, rec.Code)
+		}
+		var st mayad.TenantStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("body %q: 201 with undecodable status: %v", body, err)
+		}
+		if sp := st.Spec; sp.MaxTicks <= 0 || sp.MaxTicks > mayad.MaxRunTicks ||
+			sp.WarmupTicks < 0 || sp.WarmupTicks > mayad.MaxWarmupTicks {
+			t.Fatalf("body %q admitted with max_ticks %d, warmup_ticks %d", body, sp.MaxTicks, sp.WarmupTicks)
+		}
+	})
 }

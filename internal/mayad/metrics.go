@@ -3,8 +3,7 @@ package mayad
 import "github.com/maya-defense/maya/internal/telemetry"
 
 // metrics are the daemon's own instruments (the fleet engines underneath
-// add the maya_fleet_* series, including fleet_spill_dropped_total's
-// maya_fleet_spill_dropped_total).
+// add the other maya_fleet_* series).
 type metrics struct {
 	Admitted *telemetry.Counter
 	// Shed counts admissions rejected with 503 + Retry-After: draining,
@@ -15,11 +14,13 @@ type metrics struct {
 	Failed  *telemetry.Counter
 	// Tenants gauges residents (queued + running).
 	Tenants *telemetry.Gauge
-	Banks   *telemetry.Gauge
 	Shards  *telemetry.Gauge
 	// Draining is 1 once Drain begins.
 	Draining    *telemetry.Gauge
 	SpoolErrors *telemetry.Counter
+	// SpillDropped counts spill samples the shards' rings discarded
+	// (drop-oldest) because no /spill reader drained them.
+	SpillDropped *telemetry.Counter
 }
 
 func newMetrics(reg *telemetry.Registry) *metrics {
@@ -30,9 +31,10 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		Done:        reg.Counter("mayad_done_total", "tenant runs completed to MaxTicks"),
 		Failed:      reg.Counter("mayad_failed_total", "tenant runs that could not start (design synthesis failed)"),
 		Tenants:     reg.Gauge("mayad_tenants", "tenants resident (queued + running)"),
-		Banks:       reg.Gauge("mayad_banks", "fleet banks currently stepping across all shards"),
 		Shards:      reg.Gauge("mayad_shards", "scheduler shard count"),
 		Draining:    reg.Gauge("mayad_draining", "1 once graceful drain has begun"),
 		SpoolErrors: reg.Counter("mayad_spool_errors_total", "tenant spool writes that failed during drain"),
+		SpillDropped: reg.Counter("maya_fleet_spill_dropped_total",
+			"spill samples discarded by drop-oldest because no reader drained"),
 	}
 }

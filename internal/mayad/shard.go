@@ -2,11 +2,10 @@ package mayad
 
 import (
 	"bytes"
-	"sync"
+	"slices"
 	"time"
 
 	"github.com/maya-defense/maya/internal/core"
-	"github.com/maya-defense/maya/internal/defense"
 	"github.com/maya-defense/maya/internal/fleet"
 	"github.com/maya-defense/maya/internal/workload"
 )
@@ -18,71 +17,45 @@ type command struct {
 	hasEvict bool
 }
 
-// bankKey groups pending admissions that can share one fleet bank: the
-// whole fleet.Spec apart from the per-slot seeds. Per-tenant independence
-// means the grouping never shows in a trace — it only batches the
-// arithmetic.
-type bankKey struct {
-	machine  string
-	kind     defense.Kind
-	workload string
-	scale    float64
-	warmup   int
-	maxTicks int
-	faults   string
-	flight   bool
+// run is one running tenant and the one-slot fleet engine stepping it.
+type run struct {
+	tn  *tenant
+	eng *fleet.Engine
 }
 
-func (tn *tenant) key() bankKey {
-	return bankKey{
-		machine: tn.spec.Machine, kind: tn.kind,
-		workload: tn.spec.Workload, scale: tn.spec.Scale,
-		warmup: tn.spec.WarmupTicks, maxTicks: tn.spec.MaxTicks,
-		faults: tn.spec.Faults, flight: tn.spec.Flight,
-	}
-}
-
-// bank is one fleet engine in flight plus the tenants in its slots.
-type bank struct {
-	eng   *fleet.Engine
-	spill *fleet.Spill
-	slots []*tenant
-}
-
-// shard is one scheduler worker: it owns its banks outright (only the
+// shard is one scheduler worker: it owns its engines outright (only the
 // shard goroutine calls engine methods) and talks to the rest of the
-// daemon through the bounded cmds queue and brief Server.mu sections.
+// daemon through the bounded cmds queue, its spill ring, and brief
+// Server.mu sections.
 type shard struct {
-	s    *Server
-	id   int
-	cmds chan command
-	stop chan struct{}
+	s     *Server
+	id    int
+	cmds  chan command
+	stop  chan struct{}
+	spill *spill
 
-	// mu guards the banks slice for the spill-drain reader; the engines
-	// themselves are shard-goroutine-only.
-	mu    sync.Mutex
-	banks []*bank
-
-	// pending holds admitted tenants awaiting bank launch; shard
+	// runs and pending (admitted tenants awaiting launch) are shard
 	// goroutine only.
+	runs    []run
 	pending []*tenant
 }
 
 func newShard(s *Server, id int) *shard {
 	return &shard{
 		s: s, id: id,
-		cmds: make(chan command, s.cfg.QueueDepth),
-		stop: make(chan struct{}),
+		cmds:  make(chan command, s.cfg.QueueDepth),
+		stop:  make(chan struct{}),
+		spill: newSpill(s.cfg.SpillLimit, s.met.SpillDropped),
 	}
 }
 
-// loop is the shard scheduler: drain commands, launch pending tenants
-// into banks, advance every bank one control period, repeat. On stop it
-// finalizes in-flight banks at the period boundary so every tenant holds
-// a bit-identical prefix of its full run.
+// loop is the shard scheduler: drain commands, launch pending tenants,
+// advance every running tenant one control period, repeat. On stop it
+// finalizes running tenants at the period boundary so each holds a
+// bit-identical prefix of its full run.
 func (sh *shard) loop() {
 	for {
-		if len(sh.banks) == 0 && len(sh.pending) == 0 {
+		if len(sh.runs) == 0 && len(sh.pending) == 0 {
 			// Idle: block until work or drain arrives.
 			select {
 			case cmd := <-sh.cmds:
@@ -109,7 +82,7 @@ func (sh *shard) loop() {
 		}
 		sh.launch()
 		sh.stepOnce()
-		if sh.s.cfg.Pace > 0 && len(sh.banks) > 0 {
+		if sh.s.cfg.Pace > 0 && len(sh.runs) > 0 {
 			time.Sleep(sh.s.cfg.Pace)
 		}
 	}
@@ -127,79 +100,54 @@ func (sh *shard) handle(cmd command) {
 func (sh *shard) evict(id int) {
 	for i, tn := range sh.pending {
 		if tn.id == id {
-			sh.pending = append(sh.pending[:i], sh.pending[i+1:]...)
-			sh.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
+			sh.pending = slices.Delete(sh.pending, i, i+1)
+			sh.s.transition(tn, StateEvicted, 0, fleet.TenantResult{}, nil)
 			return
 		}
 	}
-	for bi, b := range sh.banks {
-		for slot, tn := range b.slots {
-			if tn == nil || tn.id != id {
-				continue
-			}
-			b.eng.Evict(slot)
-			sh.mu.Lock() // the spill reader iterates b.slots
-			b.slots[slot] = nil
-			sh.mu.Unlock()
-			sh.s.transition(tn, StateEvicted, fleet.TenantResult{}, nil)
-			if b.eng.Alive() == 0 {
-				// Every slot is dead: the bank is pure overhead, drop it.
-				sh.removeBank(bi)
-			}
+	for i, r := range sh.runs {
+		if r.tn.id == id {
+			sh.runs = slices.Delete(sh.runs, i, i+1)
+			sh.s.transition(r.tn, StateEvicted, r.eng.Tick(), fleet.TenantResult{}, nil)
 			return
 		}
 	}
 }
 
-// launch groups pending tenants by bank key and starts one fleet bank per
-// group. Tenants admitted in one scheduler pass with identical specs
-// share a bank; the grouping is invisible in their traces.
+// launch starts every pending tenant as its own one-slot fleet engine
+// carrying fleet.TenantSeeds(seed, index): bit-identical to slot index of
+// a solo fleet run with base seed seed.
 func (sh *shard) launch() {
-	if len(sh.pending) == 0 {
-		return
-	}
-	groups := make(map[bankKey][]*tenant)
-	var order []bankKey
 	for _, tn := range sh.pending {
-		k := tn.key()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], tn)
+		sh.start(tn)
 	}
 	sh.pending = sh.pending[:0]
-	for _, k := range order {
-		sh.launchBank(groups[k])
-	}
 }
 
-func (sh *shard) launchBank(group []*tenant) {
-	lead := group[0]
-	sp := lead.spec
-	maya := lead.kind.IsMaya()
+func (sh *shard) start(tn *tenant) {
+	sp := tn.spec
+	maya := tn.kind.IsMaya()
 
 	var art *core.Design
 	if maya {
 		var err error
-		art, err = sh.s.designs.Get(lead.cfg)
+		art, err = sh.s.designs.Get(tn.cfg)
 		if err != nil {
-			for _, tn := range group {
-				sh.s.fail(tn, err)
-			}
+			sh.s.fail(tn, err)
 			return
 		}
 	}
 
 	spec := fleet.Spec{
-		Config:      lead.cfg,
-		Kind:        lead.kind,
+		Config:      tn.cfg,
+		Kind:        tn.kind,
 		Art:         art,
 		PeriodTicks: PeriodTicks,
-		Tenants:     len(group),
-		SeedAt: func(t int) (uint64, uint64, uint64, uint64) {
-			return fleet.TenantSeeds(group[t].spec.Seed, group[t].spec.Index)
+		Tenants:     1,
+		SeedAt: func(int) (uint64, uint64, uint64, uint64) {
+			return fleet.TenantSeeds(sp.Seed, sp.Index)
 		},
-		Plan:        lead.plan,
+		Plan:        tn.plan,
 		WarmupTicks: sp.WarmupTicks,
 		MaxTicks:    sp.MaxTicks,
 	}
@@ -214,7 +162,7 @@ func (sh *shard) launchBank(group []*tenant) {
 		}
 	}
 	if sp.Faults != "" && maya {
-		g := core.DefaultGuard(lead.cfg)
+		g := core.DefaultGuard(tn.cfg)
 		spec.Guard = &g
 	}
 	if sp.Flight {
@@ -223,67 +171,53 @@ func (sh *shard) launchBank(group []*tenant) {
 
 	eng := fleet.New(spec)
 	eng.SetMetrics(sh.s.fleetM)
-	spill := fleet.NewSpill(sh.s.cfg.SpillLimit)
-	spill.SetDropCounter(sh.s.fleetM.SpillDropped)
-	eng.SetSpill(spill)
 	eng.Start()
-
-	b := &bank{eng: eng, spill: spill, slots: append([]*tenant(nil), group...)}
-	sh.mu.Lock()
-	sh.banks = append(sh.banks, b)
-	sh.mu.Unlock()
-	sh.s.met.Banks.Add(1)
-	for _, tn := range group {
-		sh.s.setState(tn, StateRunning)
-	}
+	sh.runs = append(sh.runs, run{tn: tn, eng: eng})
+	sh.s.setState(tn, StateRunning)
 }
 
-// stepOnce advances every bank one control period, finalizing banks that
-// reached MaxTicks.
+// stepOnce advances every running tenant one control period, spilling
+// the period's reading, and finalizes tenants that reached MaxTicks.
 func (sh *shard) stepOnce() {
-	for bi := 0; bi < len(sh.banks); {
-		b := sh.banks[bi]
-		if b.eng.StepPeriod() {
-			bi++
+	kept := sh.runs[:0]
+	for _, r := range sh.runs {
+		step := r.eng.Step()
+		more := r.eng.StepPeriod()
+		if r.eng.Step() != step {
+			sh.spill.push(SpillSample{
+				Shard: sh.id, Tenant: r.tn.id, Step: r.eng.Step(), PowerW: r.eng.Reading(0),
+			})
+		}
+		if more {
+			r.tn.tick.Store(int64(r.eng.Tick()))
+			kept = append(kept, r)
 			continue
 		}
-		sh.finalize(b, StateDone)
-		sh.removeBank(bi)
+		sh.finalize(r, StateDone)
 	}
+	clear(sh.runs[len(kept):])
+	sh.runs = kept
 }
 
-// finalize reads a bank's results and hands each surviving tenant its
-// trace; state is StateDone for natural completion, StateDrained when the
-// daemon stopped the run early (the results are then a bit-identical
-// prefix of the full run).
-func (sh *shard) finalize(b *bank, state string) {
-	results := b.eng.Results()
-	for slot, tn := range b.slots {
-		if tn == nil {
-			continue
+// finalize reads a run's result and hands it to its tenant; state is
+// StateDone for natural completion, StateDrained when the daemon stopped
+// the run early (the result is then a bit-identical prefix of the full
+// run).
+func (sh *shard) finalize(r run, state string) {
+	res := r.eng.Results()[0]
+	var flight []byte
+	if res.Flight != nil {
+		var buf bytes.Buffer
+		if err := res.Flight.Flush(&buf); err == nil {
+			flight = buf.Bytes()
 		}
-		res := results[slot]
-		var flight []byte
-		if res.Flight != nil {
-			var buf bytes.Buffer
-			if err := res.Flight.Flush(&buf); err == nil {
-				flight = buf.Bytes()
-			}
-		}
-		res.Flight = nil
-		sh.s.transition(tn, state, res, flight)
 	}
-}
-
-func (sh *shard) removeBank(i int) {
-	sh.mu.Lock()
-	sh.banks = append(sh.banks[:i], sh.banks[i+1:]...)
-	sh.mu.Unlock()
-	sh.s.met.Banks.Add(-1)
+	res.Flight = nil
+	sh.s.transition(r.tn, state, r.eng.Tick(), res, flight)
 }
 
 // shutdown drains the command queue (late admissions finalize empty, as
-// drained), then finalizes every in-flight bank at the current period
+// drained), then finalizes every running tenant at the current period
 // boundary.
 func (sh *shard) shutdown() {
 	for {
@@ -292,37 +226,14 @@ func (sh *shard) shutdown() {
 			sh.handle(cmd)
 		default:
 			for _, tn := range sh.pending {
-				sh.s.transition(tn, StateDrained, fleet.TenantResult{}, nil)
+				sh.s.transition(tn, StateDrained, 0, fleet.TenantResult{}, nil)
 			}
 			sh.pending = nil
-			for _, b := range sh.banks {
-				sh.finalize(b, StateDrained)
+			for _, r := range sh.runs {
+				sh.finalize(r, StateDrained)
 			}
-			sh.mu.Lock()
-			sh.banks = nil
-			sh.mu.Unlock()
+			sh.runs = nil
 			return
 		}
 	}
-}
-
-// spillSamples drains this shard's bank spills, translating bank slots to
-// tenant ids.
-func (sh *shard) spillSamples() []SpillSample {
-	sh.mu.Lock()
-	banks := append([]*bank(nil), sh.banks...)
-	sh.mu.Unlock()
-	var out []SpillSample
-	for _, b := range banks {
-		for _, smp := range b.spill.Drain() {
-			id := -1
-			if smp.Tenant < len(b.slots) && b.slots[smp.Tenant] != nil {
-				id = b.slots[smp.Tenant].id
-			}
-			out = append(out, SpillSample{
-				Shard: sh.id, Tenant: id, Step: smp.Step, PowerW: smp.PowerW,
-			})
-		}
-	}
-	return out
 }
