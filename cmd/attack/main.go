@@ -113,7 +113,7 @@ func main() {
 	spec.Train.Epochs = *epochs
 
 	var art *core.Design
-	if kind == defense.MayaConstant || kind == defense.MayaGS {
+	if kind.IsMaya() {
 		log.Printf("designing Maya controller for %s...", cfg.Name)
 		var err error
 		art, err = core.DesignFor(cfg, core.DefaultDesignOptions())

@@ -56,7 +56,7 @@ func runFleet(o fleetOpts) error {
 			return w
 		}
 	}
-	maya := o.kind == defense.MayaConstant || o.kind == defense.MayaGS
+	maya := o.kind.IsMaya()
 	if o.faults != "" {
 		plan, err := loadFaultPlan(o.faults)
 		if err != nil {

@@ -188,7 +188,7 @@ func main() {
 	}
 
 	var art *core.Design
-	if kind == defense.MayaConstant || kind == defense.MayaGS {
+	if kind.IsMaya() {
 		log.Printf("designing Maya controller for %s (system identification + synthesis)...", cfg.Name)
 		art, err = core.DesignFor(cfg, core.DefaultDesignOptions())
 		if err != nil {

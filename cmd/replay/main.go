@@ -110,7 +110,7 @@ func doPlay(path, machine, defName string, seconds float64, seed uint64, loop bo
 	}
 
 	var art *core.Design
-	if kind == defense.MayaConstant || kind == defense.MayaGS {
+	if kind.IsMaya() {
 		log.Printf("designing Maya controller for %s...", cfg.Name)
 		art, err = core.DesignFor(cfg, core.DefaultDesignOptions())
 		if err != nil {

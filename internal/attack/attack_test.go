@@ -43,7 +43,7 @@ func collectMini(t *testing.T, kind defense.Kind, seed uint64, runs, maxTicks in
 	t.Helper()
 	cfg := sim.Sys1()
 	var art *core.Design
-	if kind == defense.MayaConstant || kind == defense.MayaGS {
+	if kind.IsMaya() {
 		art = sys1Art(t)
 	}
 	ds, _ := defense.Collect(context.Background(), defense.CollectSpec{

@@ -86,7 +86,7 @@ type Design struct {
 
 // NewDesign creates a design. art may be nil for the non-Maya kinds.
 func NewDesign(kind Kind, cfg sim.Config, art *core.Design, periodTicks int) *Design {
-	if (kind == MayaConstant || kind == MayaGS) && art == nil {
+	if kind.IsMaya() && art == nil {
 		panic("defense: Maya designs need a synthesized core.Design")
 	}
 	if periodTicks <= 0 {

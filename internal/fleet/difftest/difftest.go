@@ -2,17 +2,18 @@
 // (machine config, defense kind, fault plan, seed, tenant count, tick
 // count) it runs the lockstep fleet engine and, per tenant, an independent
 // sim.Run with the same derived seeds, and asserts the two produce
-// bit-for-bit identical traces, flight records, and guard decisions. Both
-// sides are built from the same scalar pieces (sim.Machine, core.Engine,
-// the fault wrappers), so a pass means the fleet's seed derivation, wiring,
-// phase order and incremental stepping change nothing a tenant can
-// observe.
+// bit-for-bit identical traces, flight records, and guard decisions. The
+// control loop itself lives in sim.Runner, which both sides drive, and
+// both are built from the same scalar pieces (sim.Machine, core.Engine,
+// the fault wrappers), so a pass means the fleet's seed derivation,
+// wiring, lockstep scheduling and incremental stepping change nothing a
+// tenant can observe.
 //
 // The harness once guarded a batched structure-of-arrays copy of the
 // machine model and controller; that copy was removed because it never won
 // end to end (45.5 ms against 40.1 ms scalar for 1,000 tenants, and the
-// daemon's banks average 1.01 tenants). The table tests and the fuzz
-// target now pin the lockstep driver against sim.Run.
+// daemon's banks averaged 1.01 tenants). The table tests and the fuzz
+// target now pin the fleet's scheduling against sim.Run.
 package difftest
 
 import (
@@ -79,10 +80,6 @@ func DesignFor(cfg sim.Config) (*core.Design, error) {
 	return d, nil
 }
 
-func (c Case) maya() bool {
-	return c.Kind == defense.MayaConstant || c.Kind == defense.MayaGS
-}
-
 func (c Case) newWorkload() workload.Workload {
 	if c.Scale <= 0 {
 		return workload.Idle{}
@@ -112,7 +109,7 @@ type scalarTenant struct {
 // path.
 func runScalar(c Case) ([]scalarTenant, error) {
 	var art *core.Design
-	if c.maya() {
+	if c.Kind.IsMaya() {
 		var err error
 		if art, err = DesignFor(c.Config); err != nil {
 			return nil, err
@@ -137,7 +134,7 @@ func runScalar(c Case) ([]scalarTenant, error) {
 		w.Reset(ws)
 		pol := d.Policy(ps)
 		var eng *core.Engine
-		if c.maya() {
+		if c.Kind.IsMaya() {
 			eng = pol.(*core.Engine)
 			if guard != nil {
 				eng.SetGuard(guard)
@@ -167,10 +164,10 @@ func runScalar(c Case) ([]scalarTenant, error) {
 	return out, nil
 }
 
-// runBatched runs the whole case through the fleet engine in lockstep.
-func runBatched(c Case) ([]fleet.TenantResult, error) {
+// runFleet runs the whole case through the fleet engine in lockstep.
+func runFleet(c Case) ([]fleet.TenantResult, error) {
 	var art *core.Design
-	if c.maya() {
+	if c.Kind.IsMaya() {
 		var err error
 		if art, err = DesignFor(c.Config); err != nil {
 			return nil, err
@@ -202,91 +199,91 @@ func Diff(c Case) error {
 	if err != nil {
 		return err
 	}
-	batched, err := runBatched(c)
+	fl, err := runFleet(c)
 	if err != nil {
 		return err
 	}
-	if len(scalar) != len(batched) {
-		return fmt.Errorf("%s: tenant counts differ: %d vs %d", c.Name, len(scalar), len(batched))
+	if len(scalar) != len(fl) {
+		return fmt.Errorf("%s: tenant counts differ: %d vs %d", c.Name, len(scalar), len(fl))
 	}
 	for t := range scalar {
-		if err := diffTenant(scalar[t], batched[t]); err != nil {
+		if err := diffTenant(scalar[t], fl[t]); err != nil {
 			return fmt.Errorf("%s: tenant %d: %w", c.Name, t, err)
 		}
 	}
 	return nil
 }
 
-func diffTenant(s scalarTenant, b fleet.TenantResult) error {
-	if err := diffFloats("defense samples", s.res.DefenseSamples, b.DefenseSamples); err != nil {
+func diffTenant(s scalarTenant, f fleet.TenantResult) error {
+	if err := diffFloats("defense samples", s.res.DefenseSamples, f.DefenseSamples); err != nil {
 		return err
 	}
-	if err := diffFloats("mask targets", s.targets, b.Targets); err != nil {
+	if err := diffFloats("mask targets", s.targets, f.Targets); err != nil {
 		return err
 	}
-	if len(s.res.InputTrace) != len(b.InputTrace) {
-		return fmt.Errorf("input trace lengths differ: %d vs %d", len(s.res.InputTrace), len(b.InputTrace))
+	if len(s.res.InputTrace) != len(f.InputTrace) {
+		return fmt.Errorf("input trace lengths differ: %d vs %d", len(s.res.InputTrace), len(f.InputTrace))
 	}
 	for i := range s.res.InputTrace {
-		sv, bv := s.res.InputTrace[i], b.InputTrace[i]
-		if math.Float64bits(sv.FreqGHz) != math.Float64bits(bv.FreqGHz) ||
-			math.Float64bits(sv.Idle) != math.Float64bits(bv.Idle) ||
-			math.Float64bits(sv.Balloon) != math.Float64bits(bv.Balloon) {
-			return fmt.Errorf("input trace[%d] differs: %+v vs %+v", i, sv, bv)
+		sv, fv := s.res.InputTrace[i], f.InputTrace[i]
+		if math.Float64bits(sv.FreqGHz) != math.Float64bits(fv.FreqGHz) ||
+			math.Float64bits(sv.Idle) != math.Float64bits(fv.Idle) ||
+			math.Float64bits(sv.Balloon) != math.Float64bits(fv.Balloon) {
+			return fmt.Errorf("input trace[%d] differs: %+v vs %+v", i, sv, fv)
 		}
 	}
-	if s.res.FinishedTick != b.FinishedTick {
-		return fmt.Errorf("finished tick differs: %d vs %d", s.res.FinishedTick, b.FinishedTick)
+	if s.res.FinishedTick != f.FinishedTick {
+		return fmt.Errorf("finished tick differs: %d vs %d", s.res.FinishedTick, f.FinishedTick)
 	}
-	if s.res.FirstStep != b.FirstStep {
-		return fmt.Errorf("first step differs: %d vs %d", s.res.FirstStep, b.FirstStep)
+	if s.res.FirstStep != f.FirstStep {
+		return fmt.Errorf("first step differs: %d vs %d", s.res.FirstStep, f.FirstStep)
 	}
-	if err := diffBits("energy", s.res.EnergyJ, b.EnergyJ); err != nil {
+	if err := diffBits("energy", s.res.EnergyJ, f.EnergyJ); err != nil {
 		return err
 	}
-	if err := diffBits("mean power", s.res.AvgPowerW, b.AvgPowerW); err != nil {
+	if err := diffBits("mean power", s.res.AvgPowerW, f.AvgPowerW); err != nil {
 		return err
 	}
-	if err := diffBits("seconds", s.res.Seconds, b.Seconds); err != nil {
+	if err := diffBits("seconds", s.res.Seconds, f.Seconds); err != nil {
 		return err
 	}
-	if s.stats != b.Stats {
-		return fmt.Errorf("fault stats differ: %v vs %v", s.stats, b.Stats)
+	if s.stats != f.Stats {
+		return fmt.Errorf("fault stats differ: %v vs %v", s.stats, f.Stats)
 	}
-	if (s.flight == nil) != (b.Flight == nil) {
+	if (s.flight == nil) != (f.Flight == nil) {
 		return fmt.Errorf("flight recorder presence differs")
 	}
 	if s.flight != nil {
-		var sb, bb bytes.Buffer
+		var sb, fb bytes.Buffer
 		if err := s.flight.Flush(&sb); err != nil {
 			return fmt.Errorf("scalar flight flush: %w", err)
 		}
-		if err := b.Flight.Flush(&bb); err != nil {
-			return fmt.Errorf("batched flight flush: %w", err)
+		if err := f.Flight.Flush(&fb); err != nil {
+			return fmt.Errorf("fleet flight flush: %w", err)
 		}
-		if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
-			return fmt.Errorf("flight records differ:\n%s", firstDiffLine(sb.Bytes(), bb.Bytes()))
+		if !bytes.Equal(sb.Bytes(), fb.Bytes()) {
+			return fmt.Errorf("flight records differ:\n%s", firstDiffLine(sb.Bytes(), fb.Bytes()))
 		}
 	}
 	return nil
 }
 
-func diffFloats(what string, s, b []float64) error {
-	if len(s) != len(b) {
-		return fmt.Errorf("%s lengths differ: %d vs %d", what, len(s), len(b))
+func diffFloats(what string, s, f []float64) error {
+	if len(s) != len(f) {
+		return fmt.Errorf("%s lengths differ: %d vs %d", what, len(s), len(f))
 	}
 	for i := range s {
-		if math.Float64bits(s[i]) != math.Float64bits(b[i]) {
+		if math.Float64bits(s[i]) != math.Float64bits(f[i]) {
 			return fmt.Errorf("%s[%d] differs: %x (%g) vs %x (%g)",
-				what, i, math.Float64bits(s[i]), s[i], math.Float64bits(b[i]), b[i])
+				what, i, math.Float64bits(s[i]), s[i], math.Float64bits(f[i]), f[i])
 		}
 	}
 	return nil
 }
 
-func diffBits(what string, s, b float64) error {
-	if math.Float64bits(s) != math.Float64bits(b) {
-		return fmt.Errorf("%s differs: %x (%g) vs %x (%g)", what, math.Float64bits(s), s, math.Float64bits(b), b)
+func diffBits(what string, s, f float64) error {
+	if math.Float64bits(s) != math.Float64bits(f) {
+		return fmt.Errorf("%s differs: %x (%g) vs %x (%g)", what, math.Float64bits(s), s, math.Float64bits(f), f)
 	}
 	return nil
 }
@@ -302,7 +299,7 @@ func firstDiffLine(a, b []byte) string {
 	}
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(al[i], bl[i]) {
-			return fmt.Sprintf("line %d:\nscalar:  %s\nbatched: %s", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d:\nscalar: %s\nfleet:  %s", i+1, al[i], bl[i])
 		}
 	}
 	return fmt.Sprintf("line counts differ: %d vs %d", len(al), len(bl))

@@ -3,11 +3,13 @@
 // built from — a sim.Machine, its RAPL sensor, a workload, and the defense
 // policy (a core.Engine for the Maya kinds), with a fault.Injector wrapped
 // around the machine, sensor and policy when a plan is set — and one
-// control period advances every slot through the same four phases:
-// machine ticks, sensor reads, decisions, actuation. On top of sim.Run the
-// engine adds only what a fleet needs: per-tenant seed derivation
-// (TenantSeeds, Spec.SeedAt), incremental stepping (Start, StepPeriod,
-// Results) and per-phase telemetry (Metrics).
+// sim.Runner that drives them. The control loop lives in sim; the fleet
+// only schedules it: one control period runs each of the runner's four
+// phases (machine ticks, sensor read, decision, actuation) across every
+// slot before the next. On top of that the engine adds only what a fleet
+// needs: per-tenant seed derivation (TenantSeeds, Spec.SeedAt),
+// incremental stepping (Start, StepPeriod, Results) and per-phase
+// telemetry (Metrics).
 //
 // Every tenant's result is bit-identical to sim.Run over the same pieces
 // with the same seeds. The difftest subpackage checks that across all
@@ -100,7 +102,7 @@ type TenantResult struct {
 }
 
 // slot is one tenant: the pieces sim.Run would drive, wired the same way,
-// plus the values carried between the phases of a control period.
+// and, from Start on, the sim.Runner driving them.
 type slot struct {
 	m      *sim.Machine
 	sensor sim.PowerSensor
@@ -110,10 +112,7 @@ type slot struct {
 	pol sim.Policy
 	eng *core.Engine
 	inj *fault.Injector
-
-	pw     float64    // the defense reading of the period just ended
-	in     sim.Inputs // the decision on pw
-	totals sim.RunTotals
+	run *sim.Runner
 }
 
 // Engine is one fleet in flight. Like the scalar engine it is single-
@@ -124,14 +123,6 @@ type Engine struct {
 	slots []slot
 
 	metrics *Metrics
-
-	// Incremental-run state (Start/StepPeriod/Results). Run wraps the
-	// three; a daemon interleaves them with other tenants' runs.
-	res      []TenantResult
-	step     int
-	tick     int
-	started  bool
-	finished bool
 }
 
 // New assembles a fleet. It panics on an invalid spec (like sim.NewMachine
@@ -140,16 +131,8 @@ func New(spec Spec) *Engine {
 	if spec.Tenants <= 0 {
 		panic("fleet: Spec.Tenants must be positive")
 	}
-	if spec.PeriodTicks <= 0 {
-		spec.PeriodTicks = 20
-	}
-	if spec.MaxTicks <= 0 {
-		spec.MaxTicks = 1 << 20
-	}
-	maya := spec.Kind == defense.MayaConstant || spec.Kind == defense.MayaGS
-	if maya && spec.Art == nil {
-		panic("fleet: Maya kinds need a synthesized core.Design")
-	}
+	// NewDesign and sim.NewRunner default a zero PeriodTicks and MaxTicks,
+	// and NewDesign panics on a Maya kind without an artifact.
 	d := defense.NewDesign(spec.Kind, spec.Config, spec.Art, spec.PeriodTicks)
 	seedAt := spec.SeedAt
 	if seedAt == nil {
@@ -180,7 +163,7 @@ func New(spec Spec) *Engine {
 		}
 
 		s.pol = d.Policy(ps)
-		if maya {
+		if spec.Kind.IsMaya() {
 			eng, ok := s.pol.(*core.Engine)
 			if !ok {
 				panic(fmt.Sprintf("fleet: %v policy is %T, not *core.Engine", spec.Kind, s.pol))
@@ -206,26 +189,8 @@ func (e *Engine) SetMetrics(m *Metrics) { e.metrics = m }
 // Tenants returns the fleet size.
 func (e *Engine) Tenants() int { return e.spec.Tenants }
 
-// decide runs every slot's policy on its latest reading.
-func (e *Engine) decide() {
-	for t := range e.slots {
-		s := &e.slots[t]
-		s.in = s.pol.Decide(e.step, s.pw)
-	}
-}
-
-// actuate commits every slot's decision to its machine.
-func (e *Engine) actuate() {
-	for t := range e.slots {
-		s := &e.slots[t]
-		s.m.SetInputs(s.in)
-	}
-}
-
-// Run executes the fleet to MaxTicks and returns one result per tenant.
-// Every slot follows sim.Run's order (step machine → observe sensor →
-// period boundary: read, decide, actuate), so each tenant's recorded trace
-// matches its scalar twin's bit for bit. Run is Start +
+// Run executes the fleet to MaxTicks and returns one result per tenant,
+// each bit-identical to sim.Run over the same pieces. Run is Start +
 // StepPeriod-to-exhaustion + Results; incremental callers (cmd/mayad's
 // shard scheduler) drive the three directly so many runs can interleave.
 func (e *Engine) Run() []TenantResult {
@@ -235,129 +200,84 @@ func (e *Engine) Run() []TenantResult {
 	return e.Results()
 }
 
-// Start runs the initial decision and the unrecorded warmup, then arms
-// recording: after Start, StepPeriod advances the recorded run one
-// control period at a time. Start may be called once.
+// Start hands every slot to a sim.Runner, which makes the initial decision
+// and runs the unrecorded warmup; after Start, StepPeriod advances the
+// recorded run one control period at a time. Start may be called once.
 func (e *Engine) Start() {
-	if e.started {
+	if e.slots[0].run != nil {
 		panic("fleet: Engine.Start called twice")
 	}
-	e.started = true
-	spec := e.spec
 	if e.metrics != nil {
-		e.metrics.Tenants.Set(float64(spec.Tenants))
+		e.metrics.Tenants.Set(float64(e.spec.Tenants))
 	}
-
-	// Initial decision before any power is read (every pw is still 0).
-	e.decide()
-	e.actuate()
-
-	// Unrecorded warmup: the defense regulates the idle fleet.
-	var idle workload.Idle
-	for tick := 0; tick < spec.WarmupTicks; tick++ {
-		for t := range e.slots {
-			s := &e.slots[t]
-			s.sensor.Observe(s.m.Step(idle))
-		}
-		if (tick+1)%spec.PeriodTicks == 0 {
-			for t := range e.slots {
-				s := &e.slots[t]
-				s.pw = s.sensor.ReadW()
-			}
-			e.step++
-			e.decide()
-			e.actuate()
-		}
-	}
-
-	e.res = make([]TenantResult, spec.Tenants)
 	for t := range e.slots {
 		s := &e.slots[t]
-		s.totals = sim.NewRunTotals(s.m)
-		e.res[t].FinishedTick = -1
-		e.res[t].FirstStep = e.step
-		e.res[t].InputTrace = append(e.res[t].InputTrace, s.m.Inputs())
+		s.run = sim.NewRunner(s.m, s.work, s.pol, sim.RunSpec{
+			ControlPeriodTicks: e.spec.PeriodTicks,
+			MaxTicks:           e.spec.MaxTicks,
+			WarmupTicks:        e.spec.WarmupTicks,
+			DefenseSensor:      s.sensor,
+		})
 	}
 }
 
 // StepPeriod advances the recorded run by one control period (or the
 // trailing partial period when MaxTicks is not a period multiple) and
-// reports whether ticks remain. It must follow Start.
+// reports whether ticks remain. It runs each of the period's phases —
+// machine, sense, control, actuate — across every slot before the next,
+// and with metrics attached times each phase once. It must follow Start.
 func (e *Engine) StepPeriod() bool {
-	if !e.started {
+	lead := e.slots[0].run
+	if lead == nil {
 		panic("fleet: Engine.StepPeriod before Start")
 	}
-	spec := e.spec
-	res := e.res
-	for e.tick < spec.MaxTicks {
-		tick := e.tick
-		tPhase := e.clock()
+	if lead.Done() {
+		return false
+	}
+	t0, tick0 := e.clock(), lead.Tick()
+	// Every slot is at the same tick, so each reports the same boundary.
+	boundary := false
+	for t := range e.slots {
+		boundary = e.slots[t].run.Advance()
+	}
+	t1 := e.clock()
+	if e.metrics != nil {
+		e.metrics.Ticks.Add(uint64((lead.Tick() - tick0) * e.spec.Tenants))
+		e.metrics.MachineNs.Add(uint64(t1 - t0))
+	}
+	if boundary {
 		for t := range e.slots {
-			s := &e.slots[t]
-			r := s.m.Step(s.work)
-			s.sensor.Observe(r)
-			s.totals.Add(r)
-			if r.Finished && res[t].FinishedTick < 0 {
-				res[t].FinishedTick = int64(tick) + 1
-			}
+			e.slots[t].run.Sense()
 		}
-		if e.metrics != nil {
-			e.metrics.Ticks.Add(uint64(spec.Tenants))
-			tNow := e.clock()
-			e.metrics.MachineNs.Add(uint64(tNow - tPhase))
-			tPhase = tNow
-		}
-		e.tick++
-		if (tick+1)%spec.PeriodTicks != 0 {
-			continue
-		}
-
+		t2 := e.clock()
 		for t := range e.slots {
-			s := &e.slots[t]
-			s.pw = s.sensor.ReadW()
-			res[t].DefenseSamples = append(res[t].DefenseSamples, s.pw)
+			e.slots[t].run.Decide()
 		}
-		if e.metrics != nil {
-			tNow := e.clock()
-			e.metrics.SenseNs.Add(uint64(tNow - tPhase))
-			tPhase = tNow
+		t3 := e.clock()
+		for t := range e.slots {
+			e.slots[t].run.Actuate()
 		}
-		e.step++
-		e.decide()
 		if e.metrics != nil {
 			e.metrics.Periods.Inc()
-			tNow := e.clock()
-			e.metrics.ControlNs.Add(uint64(tNow - tPhase))
-			tPhase = tNow
+			e.metrics.SenseNs.Add(uint64(t2 - t1))
+			e.metrics.ControlNs.Add(uint64(t3 - t2))
+			e.metrics.ActuateNs.Add(uint64(e.clock() - t3))
 		}
-		e.actuate()
-		for t := range e.slots {
-			res[t].InputTrace = append(res[t].InputTrace, e.slots[t].m.Inputs())
-		}
-		if e.metrics != nil {
-			e.metrics.ActuateNs.Add(uint64(e.clock() - tPhase))
-		}
-		break
 	}
-	return e.tick < spec.MaxTicks
+	return !lead.Done()
 }
 
-// Results finalizes and returns one result per tenant slot: exactly what
-// Run returns when the run consumed MaxTicks, and a bit-identical prefix
-// of that when called early (a daemon draining mid-run). Results may be
-// called once.
+// Results returns one result per tenant slot: exactly what Run returns
+// when the run consumed MaxTicks, and a bit-identical prefix of that when
+// called early (a daemon draining mid-run). It must follow Start.
 func (e *Engine) Results() []TenantResult {
-	if !e.started {
+	if e.slots[0].run == nil {
 		panic("fleet: Engine.Results before Start")
 	}
-	if e.finished {
-		panic("fleet: Engine.Results called twice")
-	}
-	e.finished = true
-	res := e.res
+	res := make([]TenantResult, len(e.slots))
 	for t := range e.slots {
 		s := &e.slots[t]
-		s.totals.Finish(&res[t].RunResult)
+		res[t].RunResult = s.run.Result()
 		if s.eng != nil {
 			res[t].Targets = s.eng.Targets
 			res[t].Flight = s.eng.Flight()
@@ -370,12 +290,14 @@ func (e *Engine) Results() []TenantResult {
 }
 
 // Reading returns slot t's latest defense reading: after a StepPeriod that
-// crossed a period boundary, the sample it just recorded.
-func (e *Engine) Reading(t int) float64 { return e.slots[t].pw }
+// crossed a period boundary, the sample it just recorded. Reading, Step
+// and Tick must follow Start.
+func (e *Engine) Reading(t int) float64 { return e.slots[t].run.Reading() }
 
-// Step reports the control-step counter (warmup steps included); Tick
-// reports recorded machine ticks consumed, up to Spec.MaxTicks.
-func (e *Engine) Step() int { return e.step }
+// Step reports the control-step counter (warmup steps included). Slots
+// step in lockstep, so slot 0 speaks for the fleet.
+func (e *Engine) Step() int { return e.slots[0].run.Step() }
 
-// Tick reports how many recorded machine ticks have run.
-func (e *Engine) Tick() int { return e.tick }
+// Tick reports how many recorded machine ticks have run, up to
+// Spec.MaxTicks.
+func (e *Engine) Tick() int { return e.slots[0].run.Tick() }

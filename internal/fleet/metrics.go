@@ -6,11 +6,12 @@ import (
 	"github.com/maya-defense/maya/internal/telemetry"
 )
 
-// Metrics instruments a fleet run's tick phases. The phase timers measure
-// the host (overhead accounting, like Engine.DecideTime on the scalar
-// path); they never feed decisions, and with metrics detached the run
-// takes no timestamps at all — which is why the differential harness,
-// which runs metrics-free, is unaffected.
+// Metrics instruments a fleet run's control-period phases. The phase
+// timers measure the host (overhead accounting, like Engine.DecideTime on
+// the scalar path) with one timestamp per phase boundary per period; they
+// never feed decisions, and with metrics detached the run takes no
+// timestamps at all — which is why the differential harness, which runs
+// metrics-free, is unaffected.
 type Metrics struct {
 	// Ticks counts machine ticks stepped, summed across tenants.
 	Ticks *telemetry.Counter
@@ -19,7 +20,7 @@ type Metrics struct {
 	// Tenants records the fleet size of the current run.
 	Tenants *telemetry.Gauge
 	// MachineNs, SenseNs, ControlNs, ActuateNs accumulate host wall time
-	// per fleet tick phase: the machine steps, the sensor reads, the
+	// per control-period phase: the machine steps, the sensor reads, the
 	// control decisions, and the actuator commits, each summed over
 	// tenants.
 	MachineNs *telemetry.Counter

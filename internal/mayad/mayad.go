@@ -103,7 +103,8 @@ type TenantSpec struct {
 	// Workload uses mayactl's grammar: an app label, video/<name>,
 	// web/<name>, instr/<name>, or idle (default blackscholes).
 	Workload string `json:"workload,omitempty"`
-	// Scale multiplies workload phase work (default 0.2).
+	// Scale multiplies workload phase work (default 0.2), capped by
+	// MaxScale.
 	Scale float64 `json:"scale,omitempty"`
 	// Seed roots the tenant's seed derivation (default 1).
 	Seed uint64 `json:"seed,omitempty"`
@@ -235,7 +236,7 @@ func (sp TenantSpec) normalize() TenantSpec {
 	if sp.Workload == "" {
 		sp.Workload = "blackscholes"
 	}
-	if sp.Scale <= 0 {
+	if sp.Scale <= 0 && !math.IsInf(sp.Scale, -1) { // resolve rejects -Inf
 		sp.Scale = 0.2
 	}
 	if sp.Seed == 0 {
@@ -267,6 +268,12 @@ func (sp TenantSpec) resolve() (sim.Config, defense.Kind, fault.Plan, error) {
 	kind, ok := defense.KindByName(sp.Defense)
 	if !ok {
 		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("unknown defense %q", sp.Defense)
+	}
+	if math.IsNaN(sp.Scale) || math.IsInf(sp.Scale, 0) {
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("scale must be finite, not %v", sp.Scale)
+	}
+	if sp.Scale > MaxScale {
+		return sim.Config{}, 0, fault.Plan{}, fmt.Errorf("scale %g exceeds the cap of %g", sp.Scale, MaxScale)
 	}
 	if _, err := workload.New(sp.Workload, sp.Scale); err != nil {
 		return sim.Config{}, 0, fault.Plan{}, err
@@ -613,6 +620,12 @@ const (
 	MaxRunTicks    = 600_000
 	MaxWarmupTicks = 60_000
 )
+
+// MaxScale caps a tenant's workload scale, which multiplies every phase's
+// work: 1 is the paper's workload and the default is 0.2. Scale sizes no
+// buffer (MaxRunTicks bounds the run); the cap keeps the workload's total
+// work finite.
+const MaxScale = 10.0
 
 // designCache memoizes Maya artifact synthesis per machine config name.
 // Synthesis is expensive (a full excitation + identification pass), runs

@@ -542,6 +542,7 @@ var badSpecs = []struct {
 	{mayad.TenantSpec{Seconds: 1e12}, "seconds"},
 	{mayad.TenantSpec{MaxTicks: 1 << 40}, "max_ticks"},
 	{mayad.TenantSpec{WarmupTicks: 1 << 40}, "warmup_ticks"},
+	{mayad.TenantSpec{Scale: 1e308}, "scale"},
 }
 
 // malformedSpecs are request bodies that do not decode as a TenantSpec.
@@ -549,8 +550,8 @@ var malformedSpecs = []string{"{nope", `{"seconds":NaN}`, `{"seconds":1e400}`}
 
 // TestBadSpecsRejected covers admission validation: unknown names 400,
 // durations whose tick count overflows or is not finite 400, tick counts
-// over the caps 400 with the field named, malformed JSON 400, unknown
-// tenant 404.
+// and scales over the caps or not finite 400 with the field named,
+// malformed JSON 400, unknown tenant 404.
 func TestBadSpecsRejected(t *testing.T) {
 	srv := mayad.New(testConfig(1), nil)
 	srv.Start()
@@ -575,9 +576,12 @@ func TestBadSpecsRejected(t *testing.T) {
 	}
 	// JSON cannot encode ±Inf or NaN, so those durations reach Admit only
 	// through the Go API; over HTTP they arrive as undecodable bodies.
-	for _, secs := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		if _, err := srv.Admit(mayad.TenantSpec{Seconds: secs}); err == nil || !strings.Contains(err.Error(), "finite") {
-			t.Fatalf("seconds %v: err %v, want a finiteness rejection", secs, err)
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := srv.Admit(mayad.TenantSpec{Seconds: v}); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Fatalf("seconds %v: err %v, want a finiteness rejection", v, err)
+		}
+		if _, err := srv.Admit(mayad.TenantSpec{Scale: v}); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Fatalf("scale %v: err %v, want a rejection naming scale", v, err)
 		}
 	}
 	for _, body := range malformedSpecs {
@@ -598,7 +602,7 @@ func TestBadSpecsRejected(t *testing.T) {
 // FuzzAdmit drives raw POST /tenants bodies through the API handler. The
 // trust-boundary contract: every body gets 201, 400 or 503 — never a
 // panic or another status — and a spec that is admitted has been
-// normalized into bounded run lengths. The server is never started, so
+// normalized into bounded run lengths and a bounded positive scale. The server is never started, so
 // admitted tenants only queue; each input gets a fresh server so its
 // admission is not shed by earlier inputs filling the queue.
 func FuzzAdmit(f *testing.F) {
@@ -655,8 +659,9 @@ func FuzzAdmit(f *testing.F) {
 			t.Fatalf("body %q: 201 with undecodable status: %v", body, err)
 		}
 		if sp := st.Spec; sp.MaxTicks <= 0 || sp.MaxTicks > mayad.MaxRunTicks ||
-			sp.WarmupTicks < 0 || sp.WarmupTicks > mayad.MaxWarmupTicks {
-			t.Fatalf("body %q admitted with max_ticks %d, warmup_ticks %d", body, sp.MaxTicks, sp.WarmupTicks)
+			sp.WarmupTicks < 0 || sp.WarmupTicks > mayad.MaxWarmupTicks ||
+			!(sp.Scale > 0 && sp.Scale <= mayad.MaxScale) {
+			t.Fatalf("body %q admitted with max_ticks %d, warmup_ticks %d, scale %g", body, sp.MaxTicks, sp.WarmupTicks, sp.Scale)
 		}
 	})
 }

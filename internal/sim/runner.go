@@ -71,104 +71,173 @@ type RunResult struct {
 	Seconds float64
 }
 
-// RunTotals streams the run-level aggregates of a RunResult — energy, mean
-// power and duration — so no per-tick series is kept. Run and fleet.Engine
-// both record through it. The power sum is a left fold in tick order from
-// 0.0, divided by the tick count: exactly signal.Mean over the per-tick
-// powers, bit for bit.
-type RunTotals struct {
-	m            *Machine
+// Runner is one run of the control loop, advanced a control period at a
+// time. NewRunner makes the initial decision and runs the unrecorded
+// warmup; each recorded period is then four phases, called in order:
+// Advance steps the machine to the next period boundary, Sense reads the
+// defense sensor, Decide runs the policy on that reading, and Actuate
+// commits the decision. Run drives one Runner to the end; fleet.Engine
+// drives many in lockstep, one phase across all of them at a time, so a
+// fleet tenant and a solo run execute the same loop.
+//
+// The run-level aggregates stream as the run goes, so no per-tick series
+// is kept: the power sum is a left fold in tick order from 0.0, divided by
+// the tick count — exactly signal.Mean over the per-tick powers, bit for
+// bit.
+type Runner struct {
+	m      *Machine
+	w      workload.Workload
+	p      Policy
+	spec   RunSpec
+	sensor PowerSensor
+
+	res          RunResult
 	startEnergyJ float64
 	sumPowerW    float64
-	ticks        int
+	step         int
+	tick         int
+	pw           float64 // the latest defense reading
+	in           Inputs  // the decision on pw
+	done         bool
 }
 
-// NewRunTotals starts the totals of a recorded window on m at its current
-// energy.
-func NewRunTotals(m *Machine) RunTotals {
-	return RunTotals{m: m, startEnergyJ: m.TrueEnergyJ()}
-}
-
-// Add folds one recorded tick.
-func (t *RunTotals) Add(r StepResult) {
-	t.sumPowerW += r.PowerW
-	t.ticks++
-}
-
-// Finish writes EnergyJ, AvgPowerW (0 when no tick was recorded) and
-// Seconds into res.
-func (t *RunTotals) Finish(res *RunResult) {
-	res.EnergyJ = t.m.TrueEnergyJ() - t.startEnergyJ
-	if t.ticks > 0 {
-		res.AvgPowerW = t.sumPowerW / float64(t.ticks)
-	}
-	res.Seconds = float64(t.ticks) * t.m.Config().TickSeconds
-}
-
-// Run drives machine m under workload w and policy p according to spec.
-// The workload should be freshly Reset by the caller (runs differ by seed).
-func Run(m *Machine, w workload.Workload, p Policy, spec RunSpec) RunResult {
+// NewRunner makes the policy's initial decision, runs spec.WarmupTicks of
+// unrecorded warmup on the idle machine, and arms recording. The workload
+// should be freshly Reset by the caller (runs differ by seed).
+func NewRunner(m *Machine, w workload.Workload, p Policy, spec RunSpec) *Runner {
 	if spec.ControlPeriodTicks <= 0 {
 		spec.ControlPeriodTicks = 20
 	}
 	if spec.MaxTicks <= 0 {
 		spec.MaxTicks = 1 << 20
 	}
-	defSensor := spec.DefenseSensor
-	if defSensor == nil {
-		defSensor = NewRAPLSensor(m)
+	r := &Runner{m: m, w: w, p: p, spec: spec, sensor: spec.DefenseSensor}
+	if r.sensor == nil {
+		r.sensor = NewRAPLSensor(m)
 	}
-	res := RunResult{FinishedTick: -1}
-	step := 0
+	r.res.FinishedTick = -1
 
 	// Let the policy choose the initial inputs before any power is read.
-	m.SetInputs(p.Decide(step, 0))
+	r.in = p.Decide(0, 0)
+	m.SetInputs(r.in)
 
 	// Unrecorded warmup: the defense regulates the idle machine.
 	var idle workload.Idle
 	for tick := 0; tick < spec.WarmupTicks; tick++ {
-		r := m.Step(idle)
 		// Feed the defense sensor per the PowerSensor contract (a no-op for
 		// the default RAPLSensor, whose state lives in the machine).
-		defSensor.Observe(r)
+		r.sensor.Observe(m.Step(idle))
 		if (tick+1)%spec.ControlPeriodTicks == 0 {
-			pw := defSensor.ReadW()
-			step++
-			m.SetInputs(p.Decide(step, pw))
+			r.pw = r.sensor.ReadW()
+			r.Decide()
+			m.SetInputs(r.in)
 		}
 	}
 
-	totals := NewRunTotals(m)
-	res.FirstStep = step
-	res.InputTrace = append(res.InputTrace, m.Inputs())
-	for tick := 0; tick < spec.MaxTicks; tick++ {
-		r := m.Step(w)
-		totals.Add(r)
-		defSensor.Observe(r)
+	r.startEnergyJ = m.TrueEnergyJ()
+	r.res.FirstStep = r.step
+	r.res.InputTrace = append(r.res.InputTrace, m.Inputs())
+	return r
+}
+
+// Advance steps the machine through the recorded run — feeding the
+// defense sensor and the samplers and noting when the workload finishes —
+// up to the next control-period boundary. It reports whether it reached
+// one; if so, Sense, Decide and Actuate complete the period. It returns
+// false when the run ends first: at MaxTicks off a boundary, or when the
+// workload finishes under StopOnFinish, whose final partial period it then
+// reads out for accounting. It must not be called once Done.
+func (r *Runner) Advance() bool {
+	m, w, spec := r.m, r.w, &r.spec
+	for r.tick < spec.MaxTicks {
+		res := m.Step(w)
+		r.sumPowerW += res.PowerW
+		r.sensor.Observe(res)
+		r.tick++
 		for _, s := range spec.Samplers {
-			s.Sensor.Observe(r)
-			if s.PeriodTicks > 0 && (tick+1)%s.PeriodTicks == 0 {
+			s.Sensor.Observe(res)
+			if s.PeriodTicks > 0 && r.tick%s.PeriodTicks == 0 {
 				s.Samples = append(s.Samples, s.Sensor.ReadW())
 			}
 		}
-		if r.Finished && res.FinishedTick < 0 {
-			res.FinishedTick = int64(tick) + 1
+		if res.Finished && r.res.FinishedTick < 0 {
+			r.res.FinishedTick = int64(r.tick)
 			if spec.StopOnFinish {
-				// Read out the final partial control period for accounting.
-				res.DefenseSamples = append(res.DefenseSamples, defSensor.ReadW())
-				break
+				r.Sense()
+				r.done = true
+				return false
 			}
 		}
-		if (tick+1)%spec.ControlPeriodTicks == 0 {
-			pw := defSensor.ReadW()
-			res.DefenseSamples = append(res.DefenseSamples, pw)
-			step++
-			m.SetInputs(p.Decide(step, pw))
-			res.InputTrace = append(res.InputTrace, m.Inputs())
+		if r.tick%spec.ControlPeriodTicks == 0 {
+			r.done = r.tick == spec.MaxTicks
+			return true
 		}
 	}
-	totals.Finish(&res)
+	r.done = true
+	return false
+}
+
+// Sense reads the defense sensor at the period boundary and records the
+// reading.
+func (r *Runner) Sense() {
+	r.pw = r.sensor.ReadW()
+	r.res.DefenseSamples = append(r.res.DefenseSamples, r.pw)
+}
+
+// Decide advances the control step and runs the policy on the latest
+// reading.
+func (r *Runner) Decide() {
+	r.step++
+	r.in = r.p.Decide(r.step, r.pw)
+}
+
+// Actuate commits the decision to the machine and records the inputs in
+// force for the next period.
+func (r *Runner) Actuate() {
+	r.m.SetInputs(r.in)
+	r.res.InputTrace = append(r.res.InputTrace, r.m.Inputs())
+}
+
+// Done reports whether the run has ended: MaxTicks consumed, or the
+// workload finished under StopOnFinish.
+func (r *Runner) Done() bool { return r.done }
+
+// Result returns the run so far: once Done, exactly what Run returns;
+// earlier, a bit-identical prefix of it (a daemon draining mid-run). The
+// slices alias the runner's.
+func (r *Runner) Result() RunResult {
+	res := r.res
+	res.EnergyJ = r.m.TrueEnergyJ() - r.startEnergyJ
+	if r.tick > 0 {
+		res.AvgPowerW = r.sumPowerW / float64(r.tick)
+	}
+	res.Seconds = float64(r.tick) * r.m.Config().TickSeconds
 	return res
+}
+
+// Step reports the control-step counter, warmup steps included.
+func (r *Runner) Step() int { return r.step }
+
+// Tick reports how many recorded machine ticks have run.
+func (r *Runner) Tick() int { return r.tick }
+
+// Reading returns the latest defense reading: after Sense, the sample it
+// just recorded.
+func (r *Runner) Reading() float64 { return r.pw }
+
+// Run drives machine m under workload w and policy p according to spec,
+// one control period at a time, and returns the finished result. The
+// workload should be freshly Reset by the caller (runs differ by seed).
+func Run(m *Machine, w workload.Workload, p Policy, spec RunSpec) RunResult {
+	r := NewRunner(m, w, p, spec)
+	for !r.Done() {
+		if r.Advance() {
+			r.Sense()
+			r.Decide()
+			r.Actuate()
+		}
+	}
+	return r.Result()
 }
 
 // RecordDemands executes w on a fresh baseline machine for the given number
