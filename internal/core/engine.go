@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/maya-defense/maya/internal/actuator"
 	"github.com/maya-defense/maya/internal/control"
@@ -63,11 +62,8 @@ type Engine struct {
 	// Fig 13a analysis compares this trace against measured power).
 	Targets []float64
 
-	// Overhead telemetry (§VII-E): cumulative wall time spent inside
-	// Decide and the number of steps, measured on the host running the
-	// simulation.
-	DecideTime time.Duration
-	Steps      int
+	// Steps counts the decisions made since the last Reset.
+	Steps int
 
 	// flight, when non-nil, records every Decide into a bounded ring; it
 	// captures only simulated-domain values, so a flight trace is
@@ -171,7 +167,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.prevUd, e.pprevU, e.prevY = 0, 0, 0
 	e.havePrevY = false
 	e.Targets = e.Targets[:0]
-	e.DecideTime = 0
 	e.Steps = 0
 	e.lastGoodW, e.haveGood, e.holdUsed = 0, false, 0
 	if e.flight != nil {
@@ -393,12 +388,9 @@ func (e *Engine) FinishStep(step int, pre StepPre, u []float64, ctl *control.Con
 //
 //maya:hotpath
 func (e *Engine) Decide(step int, powerW float64) sim.Inputs {
-	start := time.Now() //maya:wallclock overhead accounting (§VII-E); never feeds decisions
 	pre := e.BeginStep(step, powerW)
 	u := e.ctl.Step(pre.DeltaY)
-	in := e.FinishStep(step, pre, u, e.ctl)
-	e.DecideTime += time.Since(start) //maya:wallclock overhead accounting (§VII-E)
-	return in
+	return e.FinishStep(step, pre, u, e.ctl)
 }
 
 // MaskTargets returns the targets issued so far (one per Decide call).

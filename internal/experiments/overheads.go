@@ -197,23 +197,20 @@ func (r *TableIResult) Render() string {
 	fmt.Fprintf(&b, "  dimension:        %d states (paper: 11 with µ-synthesis weights)\n", r.ControllerDim)
 	fmt.Fprintf(&b, "  ops/step:         ≈%d multiply-accumulates (paper: ≈200)\n", r.OpsPerStep)
 	fmt.Fprintf(&b, "  storage:          %d bytes (paper: <1 KB)\n", r.StorageBytes)
-	// The measured latencies are rendered as budget buckets, not raw
-	// nanoseconds: the report body must be byte-identical across reruns
-	// (exact values stay in the struct for tests and benchmarks).
-	fmt.Fprintf(&b, "  controller step:  %s measured (paper: <1 µs)\n", fmtBudget(r.CtlStepNanos))
-	fmt.Fprintf(&b, "  full Maya step:   %s measured (Table I budget: 5–10 µs)\n", fmtBudget(r.TotalStepNanos))
+	// The measured latencies are rendered as verdicts against the paper's
+	// bounds, not as numbers: the report body must be byte-identical across
+	// reruns, and the measured steps sit an order of magnitude inside their
+	// bounds, where host load cannot flip a verdict. The nanoseconds go to
+	// the nondeterministic timing section (TimingSummary).
+	fmt.Fprintf(&b, "  controller step:  %s the paper's <1 µs bound\n", verdict(r.CtlStepNanos < 1_000))
+	fmt.Fprintf(&b, "  full Maya step:   %s the Table I 5–10 µs budget\n", verdict(r.TotalStepNanos <= 10_000))
 	return b.String()
 }
 
-// fmtBudget buckets a step latency against the Table I budget tiers.
-func fmtBudget(ns int64) string {
-	switch {
-	case ns < 1_000:
-		return "<1 µs"
-	case ns < 5_000:
-		return "1–5 µs"
-	case ns <= 10_000:
-		return "5–10 µs"
+// verdict words a measured step against its bound.
+func verdict(within bool) string {
+	if within {
+		return "within"
 	}
-	return ">10 µs (over budget)"
+	return "over"
 }

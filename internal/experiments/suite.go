@@ -203,7 +203,9 @@ func TelemetryReport(reg *telemetry.Registry) string {
 }
 
 // TimingSummary renders the per-job accounting table (wall-clock and
-// allocation volume per experiment, plus totals).
+// allocation volume per experiment, plus totals), followed by Table I's
+// measured step latencies, which vary run to run and so stay out of the
+// deterministic report body.
 func TimingSummary(outs []SuiteOutcome) string {
 	var total time.Duration
 	var totalAlloc uint64
@@ -222,6 +224,12 @@ func TimingSummary(outs []SuiteOutcome) string {
 		totalAlloc += o.AllocBytes
 	}
 	s += fmt.Sprintf("%-20s %10s %12s  (sum of per-job wall clocks)\n", "total", total.Round(time.Millisecond), fmtBytes(totalAlloc))
+	for _, o := range outs {
+		if r, ok := o.Res.(*TableIResult); ok {
+			s += fmt.Sprintf("%s: controller step %d ns, full Maya step %d ns (fastest of 20 batches)\n",
+				o.Name, r.CtlStepNanos, r.TotalStepNanos)
+		}
+	}
 	return s
 }
 

@@ -162,15 +162,22 @@ func TestWriteReportOptsTelemetrySection(t *testing.T) {
 func TestWriteReportRendersErrorsAndTiming(t *testing.T) {
 	outs := []SuiteOutcome{
 		{Name: "broken", Err: context.DeadlineExceeded, TimedOut: true},
+		{Name: "table1", Res: &TableIResult{CtlStepNanos: 123, TotalStepNanos: 456}},
 	}
 	var buf bytes.Buffer
 	if err := WriteReport(&buf, tiny(), 1, outs, true); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()
-	for _, want := range []string{"## broken", "ERROR:", "## Timing", "timed out"} {
+	for _, want := range []string{"## broken", "ERROR:", "## Timing", "timed out",
+		"within the Table I 5–10 µs budget", "table1: controller step 123 ns, full Maya step 456 ns"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report missing %q:\n%s", want, s)
 		}
+	}
+	// Table I's measured nanoseconds vary run to run: only the timing
+	// section may carry them.
+	if body, _, _ := strings.Cut(s, "## Timing"); strings.Contains(body, "123") || strings.Contains(body, "456") {
+		t.Fatalf("deterministic report body carries measured latencies:\n%s", body)
 	}
 }

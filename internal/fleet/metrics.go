@@ -7,11 +7,10 @@ import (
 )
 
 // Metrics instruments a fleet run's control-period phases. The phase
-// timers measure the host (overhead accounting, like Engine.DecideTime on
-// the scalar path) with one timestamp per phase boundary per period; they
-// never feed decisions, and with metrics detached the run takes no
-// timestamps at all — which is why the differential harness, which runs
-// metrics-free, is unaffected.
+// timers measure the host (overhead accounting) with one timestamp per
+// phase boundary per period; they never feed decisions, and with metrics
+// detached the run takes no timestamps at all — which is why the
+// differential harness, which runs metrics-free, is unaffected.
 type Metrics struct {
 	// Ticks counts machine ticks stepped, summed across tenants.
 	Ticks *telemetry.Counter

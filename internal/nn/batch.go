@@ -8,9 +8,12 @@ import "math"
 // the transposed (feature-major) copy of each layer's input activations:
 // the matrix kernels walk input features column-wise, and the transposed
 // copy turns those walks into sequential streams for one cheap transpose
-// pass per layer. One batch is allocated per Train/Accuracy/Confusion call
-// and reused across every minibatch, so the kernels themselves never
-// allocate.
+// pass per layer. The input layer lives only in actsT[0] (load writes it
+// there directly) and has no delta (backwardBatch stops at layer 0), so
+// acts[0] and deltas[0] stay nil: at the attack's input widths they would
+// be the two largest buffers, and no kernel reads them. One batch is
+// allocated per Train/Accuracy/Confusion call and reused across every
+// minibatch, so the kernels themselves never allocate.
 //
 // The kernels accumulate each output element in exactly the order the
 // original per-example loops did (example-index order per accumulator), so
@@ -41,8 +44,10 @@ func (m *MLP) newBatch(rows int) *batch {
 		xsrc:   make([][]float64, 0, rows),
 	}
 	for i, s := range m.sizes {
-		bb.acts[i] = make([]float64, rows*s)
-		bb.deltas[i] = make([]float64, rows*s)
+		if i > 0 {
+			bb.acts[i] = make([]float64, rows*s)
+			bb.deltas[i] = make([]float64, rows*s)
+		}
 		if i < len(m.sizes)-1 {
 			bb.actsT[i] = make([]float64, rows*s)
 		}
@@ -121,9 +126,9 @@ func (bb *batch) gather(xs [][]float64, in, rows int) {
 	bb.tRows = rows
 }
 
-// forwardBatch runs the network forward over the first rows rows of
-// bb.acts[0], leaving per-row log-probabilities in the last activation
-// matrix. Each weight row is streamed once per minibatch and reused across
+// forwardBatch runs the network forward over the first rows rows of the
+// loaded input (bb.actsT[0]), leaving per-row log-probabilities in the
+// last activation matrix. Each weight row is streamed once per minibatch and reused across
 // all rows — the matrix-matrix form of the scalar forward pass — in 4×2
 // tiles: four input features by two batch rows, so each weight load feeds
 // two independent accumulators (wider tiles spill registers and run slower). Per output element the unrolled accumulation

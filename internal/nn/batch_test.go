@@ -87,8 +87,9 @@ func scalarAccuracy(m *MLP, examples []Example) float64 {
 
 // scalarTrain is the historical per-example training loop, kept verbatim
 // (modulo the extracted backward/accuracy helpers above) as the reference
-// for the batched Train.
-func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) float64 {
+// for the batched Train. It validates every epoch and reports each epoch's
+// loss and validation accuracy through cfg.Log when set.
+func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 40
 	}
@@ -146,7 +147,9 @@ func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) f
 			}
 		}
 		valAcc := scalarAccuracy(m, val)
-		_ = totalLoss
+		if cfg.Log != nil {
+			cfg.Log(epoch, totalLoss/float64(len(train)), valAcc)
+		}
 		if valAcc > bestVal {
 			bestVal = valAcc
 			sinceBest = 0
@@ -157,10 +160,6 @@ func scalarTrain(m *MLP, r *rng.Stream, train, val []Example, cfg TrainConfig) f
 			}
 		}
 	}
-	if len(val) == 0 {
-		return 0
-	}
-	return bestVal
 }
 
 // trainSets builds a dataset with both dense and exactly-zero features (the
@@ -190,13 +189,30 @@ func TestBatchedTrainMatchesScalarBitForBit(t *testing.T) {
 	train, val := trainSets(7, 70, 12, 3) // 52 train rows: one full batch of 32, one partial of 20
 	cfg := TrainConfig{Epochs: 6, BatchSize: 32, LR: 3e-3, WeightDecay: 1e-5}
 
+	// Both sides report every epoch's training loss and validation
+	// accuracy through cfg.Log; the two per-epoch series must agree bit
+	// for bit, not just their best value.
+	type epochLog struct{ loss, val float64 }
+	logTo := func(dst *[]epochLog) TrainConfig {
+		c := cfg
+		c.Log = func(_ int, loss, val float64) { *dst = append(*dst, epochLog{loss, val}) }
+		return c
+	}
+	var logA, logB []epochLog
 	a := NewMLP(rng.New(seed), 12, 16, 8, 3)
 	b := NewMLP(rng.New(seed), 12, 16, 8, 3)
-	valA := a.Train(rng.New(seed+1), train, val, cfg)
-	valB := scalarTrain(b, rng.New(seed+1), train, val, cfg)
+	a.Train(rng.New(seed+1), train, val, logTo(&logA))
+	scalarTrain(b, rng.New(seed+1), train, val, logTo(&logB))
 
-	if valA != valB {
-		t.Fatalf("best validation accuracy differs: batched %v scalar %v", valA, valB)
+	if len(logA) != cfg.Epochs || len(logB) != cfg.Epochs {
+		t.Fatalf("logged %d batched and %d scalar epochs, want %d", len(logA), len(logB), cfg.Epochs)
+	}
+	for e := range logA {
+		if math.Float64bits(logA[e].loss) != math.Float64bits(logB[e].loss) ||
+			math.Float64bits(logA[e].val) != math.Float64bits(logB[e].val) {
+			t.Fatalf("epoch %d differs: batched loss %v val %v, scalar loss %v val %v",
+				e, logA[e].loss, logA[e].val, logB[e].loss, logB[e].val)
+		}
 	}
 	for l := range a.weights {
 		for i, w := range a.weights[l].w {

@@ -25,7 +25,8 @@ type TrainConfig struct {
 	// Patience stops training after this many epochs without validation
 	// improvement (0 disables early stopping).
 	Patience int
-	// Verbose emits per-epoch progress via the Log callback.
+	// Log, when non-nil, receives each epoch's mean training loss and
+	// validation accuracy.
 	Log func(epoch int, trainLoss, valAcc float64)
 }
 
@@ -44,16 +45,18 @@ type adamState struct {
 	t    int
 }
 
-// Train fits the network on train, monitoring accuracy on val for early
-// stopping. It returns the best validation accuracy observed.
+// Train fits the network on train. Accuracy on val is measured after each
+// epoch only when something reads it — early stopping (Patience > 0) or
+// the Log callback; otherwise val is unused, and callers that want the
+// trained network's validation accuracy ask Accuracy once.
 //
 // Optimization runs on the batched kernels: each minibatch is gathered
-// into row-major matrices and pushed through forwardBatch/backwardBatch,
-// which stream every weight row once per minibatch instead of once per
-// example. Gradient elements accumulate example contributions in the same
+// into matrices and pushed through forwardBatch/backwardBatch, which
+// stream every weight row once per minibatch instead of once per example.
+// Gradient elements accumulate example contributions in the same
 // order as the historical per-example loop, so for a fixed rng.Stream the
 // final weights are bit-for-bit identical to the scalar path it replaced.
-func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) float64 {
+func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 40
 	}
@@ -115,6 +118,9 @@ func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) float6
 				adamStep(m.biases[l], gb[l], ab[l], cfg.LR, scale, 0)
 			}
 		}
+		if cfg.Patience <= 0 && cfg.Log == nil {
+			continue
+		}
 		valAcc := 0.0
 		if len(val) > 0 {
 			correct := 0
@@ -138,10 +144,6 @@ func (m *MLP) Train(r *rng.Stream, train, val []Example, cfg TrainConfig) float6
 			}
 		}
 	}
-	if len(val) == 0 {
-		return 0
-	}
-	return bestVal
 }
 
 func zero(x []float64) {

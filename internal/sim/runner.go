@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"github.com/maya-defense/maya/internal/workload"
 )
 
@@ -136,8 +138,27 @@ func NewRunner(m *Machine, w workload.Workload, p Policy, spec RunSpec) *Runner 
 
 	r.startEnergyJ = m.TrueEnergyJ()
 	r.res.FirstStep = r.step
+	if !spec.StopOnFinish {
+		r.sizeSeries()
+	}
 	r.res.InputTrace = append(r.res.InputTrace, m.Inputs())
 	return r
+}
+
+// sizeSeries allocates every recorded series at its final length once. A
+// run that cannot stop early reads out exactly one defense sample per
+// whole control period, one input vector per sample plus the initial one,
+// and one sampler reading per whole sampler period; a StopOnFinish run's
+// length depends on the workload, so its series grow as they go.
+func (r *Runner) sizeSeries() {
+	periods := r.spec.MaxTicks / r.spec.ControlPeriodTicks
+	r.res.DefenseSamples = make([]float64, 0, periods)
+	r.res.InputTrace = make([]Inputs, 0, periods+1)
+	for _, s := range r.spec.Samplers {
+		if s.PeriodTicks > 0 {
+			s.Samples = slices.Grow(s.Samples, r.spec.MaxTicks/s.PeriodTicks)
+		}
+	}
 }
 
 // Advance steps the machine through the recorded run — feeding the

@@ -143,6 +143,29 @@ func TestRunnerSamplers(t *testing.T) {
 	}
 }
 
+// TestRunAllocsIndependentOfLength pins the recorded series to one
+// allocation each when the run length is fixed: a run ten times longer
+// makes exactly as many allocations, so none of the series grows by
+// appending.
+func TestRunAllocsIndependentOfLength(t *testing.T) {
+	cfg := Sys1()
+	m := NewMachine(cfg, 8)
+	w := workload.NewApp("vips").Scale(0.05)
+	allocs := func(maxTicks int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			w.Reset(2)
+			att := &Sampler{Sensor: NewRAPLSensor(m), PeriodTicks: 10}
+			Run(m, w, NewBaselinePolicy(cfg), RunSpec{
+				ControlPeriodTicks: 20, MaxTicks: maxTicks, Samplers: []*Sampler{att},
+			})
+		})
+	}
+	short, long := allocs(2_000), allocs(20_000)
+	if short != long {
+		t.Fatalf("sim.Run allocates %v times for 2,000 ticks but %v for 20,000", short, long)
+	}
+}
+
 func TestRunnerContinuesPastFinish(t *testing.T) {
 	cfg := Sys1()
 	m := NewMachine(cfg, 9)
